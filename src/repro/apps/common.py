@@ -27,6 +27,12 @@ class AppRun:
     max_error: float = 0.0
     aux: dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Apps compute these with numpy; store plain Python values so a
+        # run serialises to JSON (the run cache) like any other.
+        self.valid = bool(self.valid)
+        self.max_error = float(self.max_error)
+
     @property
     def total_time(self) -> int:
         return self.result.total_time

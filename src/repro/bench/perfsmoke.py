@@ -24,6 +24,11 @@ Workloads:
   headline number for the hot-path engine).
 * ``jacobi`` — one Figure 6 point (remote-miss heavy, protocol-bound):
   the end-to-end shape the figure suite stresses.
+* ``tsp_lock`` — a small Figure 8 TSP point (32 processors, cluster
+  size 4): lock- and message-bound, so ``messages_per_sec`` (protocol
+  messages delivered by the bus per host second) gates the message path
+  that the Jacobi and hit-path benchmarks barely touch.  Cross-checked
+  against the slow access engine (``tsp_lock_slow``) for identical cycles.
 * ``swdsm_jacobi`` — the same point under the single-grain software-DSM
   baseline engine (``protocol="swdsm"``), so the comparison harness's
   rival engines are throughput-gated alongside MGS.
@@ -66,9 +71,9 @@ import sys
 import tempfile
 import time
 
-from repro.apps import jacobi, scanphase
+from repro.apps import jacobi, scanphase, tsp
 from repro.bench.cache import RunCache
-from repro.bench.sweep import run_sweep
+from repro.bench.sweep import default_config, run_sweep
 from repro.metrics.export import run_cache_to_dict
 from repro.params import MachineConfig
 from repro.runtime import Runtime
@@ -88,6 +93,7 @@ GATES: dict[str, tuple[str, float]] = {
     "hit_block_fast": ("words_per_sec", 0.30),
     "write_block_fast": ("words_per_sec", 0.30),
     "jacobi_fast": ("events_per_sec", 0.35),
+    "tsp_lock": ("messages_per_sec", 0.35),
     "swdsm_jacobi_fast": ("events_per_sec", 0.35),
     "figure_replay": ("speedup_replay", 0.25),
     "sweep_replay_warm": ("speedup_warm", 0.25),
@@ -263,6 +269,31 @@ def _bench_cached_sweep(n: int, iterations: int) -> dict:
     }
 
 
+def _bench_tsp_lock(fastpath: bool, ncities: int, reps: int = 1) -> dict:
+    """One small Figure 8 TSP point, best-of-``reps`` (see _bench_jacobi)."""
+    params = tsp.TSPParams(ncities=ncities)
+    seconds = None
+    for _ in range(reps):
+        rt = tsp.make_runtime(default_config(4), fastpath=fastpath)
+        best = tsp.build(rt, params)
+        t0 = time.perf_counter()
+        result = rt.run()
+        elapsed = time.perf_counter() - t0
+        if float(best.snapshot()[0]) != tsp.golden(params):
+            raise AssertionError("tsp_lock found a wrong tour")
+        if seconds is None or elapsed < seconds:
+            seconds = elapsed
+    messages = sum(flow["count"] for flow in result.message_flows.values())
+    return {
+        "seconds": round(seconds, 4),
+        "events": rt.sim.events_processed,
+        "events_per_sec": round(rt.sim.events_processed / seconds),
+        "messages": messages,
+        "messages_per_sec": round(messages / seconds),
+        "total_time": result.total_time,
+    }
+
+
 def _bench_figure_replay(phases: int, reps: int = 1) -> dict:
     """Repeated-phase sweep with replay on vs off (same simulated run)."""
     config = MachineConfig(total_processors=8, cluster_size=2)
@@ -381,13 +412,13 @@ def _bench_sweep_replay_warm(phases: int, reps: int = 1) -> dict:
 def run_perfsmoke(quick: bool = False) -> dict:
     """Measure the workload set and return the report dict."""
     if quick:
-        nwords, passes, jn, jit, phases = 2048, 8, 32, 3, 16
+        nwords, passes, jn, jit, phases, ncities = 2048, 8, 32, 3, 16, 6
         jreps = 1
     else:
         # Jacobi at n=256 keeps enough interior (all-hit) rows per
         # boundary row for the batched fast paths to show their real
         # gain; n=64 at 32 processors is boundary rows only.
-        nwords, passes, jn, jit, phases = 4096, 30, 256, 3, 32
+        nwords, passes, jn, jit, phases, ncities = 4096, 30, 256, 3, 32, 7
         jreps = 5
 
     hit_fast = _bench_hit_block(True, nwords, passes)
@@ -418,6 +449,14 @@ def run_perfsmoke(quick: bool = False) -> dict:
             "fastpath diverged from slow path (swdsm_jacobi)"
         )
 
+    tsp_fast = _bench_tsp_lock(True, ncities, reps=jreps)
+    tsp_slow = _bench_tsp_lock(False, ncities, reps=jreps)
+    if (tsp_fast["total_time"], tsp_fast["events"]) != (
+        tsp_slow["total_time"],
+        tsp_slow["events"],
+    ):
+        raise AssertionError("fastpath diverged from slow path (tsp_lock)")
+
     sweep = _bench_sweep(32, 3)
     cached = _bench_cached_sweep(32, 3)
     replay = _bench_figure_replay(phases, reps=jreps)
@@ -442,6 +481,8 @@ def run_perfsmoke(quick: bool = False) -> dict:
             "jacobi_slow": jac_slow,
             "swdsm_jacobi_fast": sw_fast,
             "swdsm_jacobi_slow": sw_slow,
+            "tsp_lock": tsp_fast,
+            "tsp_lock_slow": tsp_slow,
             "sweep": sweep,
             "sweep_cached": cached,
             "figure_replay": replay,
@@ -456,6 +497,9 @@ def run_perfsmoke(quick: bool = False) -> dict:
             ),
             "swdsm_jacobi_fastpath": round(
                 sw_slow["seconds"] / sw_fast["seconds"], 2
+            ),
+            "tsp_lock_fastpath": round(
+                tsp_slow["seconds"] / tsp_fast["seconds"], 2
             ),
             "write_block_fastpath": round(
                 wb_slow["seconds"] / wb_fast["seconds"], 2
@@ -545,6 +589,12 @@ def main(argv: list[str] | None = None) -> int:
         f" ({b['swdsm_jacobi_fast']['events_per_sec']:,} events/s)"
         f"   slow {b['swdsm_jacobi_slow']['seconds']:.3f}s"
         f"   speedup {report['speedups']['swdsm_jacobi_fastpath']}x"
+    )
+    print(
+        f"  tsp_lock    fast {b['tsp_lock']['seconds']:.3f}s"
+        f" ({b['tsp_lock']['messages_per_sec']:,} messages/s)"
+        f"   slow {b['tsp_lock_slow']['seconds']:.3f}s"
+        f"   speedup {report['speedups']['tsp_lock_fastpath']}x"
     )
     print(
         f"  sweep       serial {b['sweep']['serial_seconds']:.3f}s"

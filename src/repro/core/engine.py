@@ -193,6 +193,9 @@ class Protocol:
         #: (see repro.metrics.locality)
         self.page_stats: dict[int, dict[str, int]] = {}
         self.bus = MessageBus(machine, config)
+        #: vpn -> home cluster; a page's home processor is fixed when the
+        #: address space allocates it, so the answer never changes
+        self._home_clusters: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # engine surface (the runtime calls these)
@@ -394,7 +397,12 @@ class Protocol:
         return page
 
     def home_cluster(self, vpn: int) -> int:
-        return self.config.cluster_of(self.aspace.home_proc(vpn))
+        """SSMP of the page's address-space home processor (memoised)."""
+        cluster = self._home_clusters.get(vpn)
+        if cluster is None:
+            cluster = self.config.cluster_of(self.aspace.home_proc(vpn))
+            self._home_clusters[vpn] = cluster
+        return cluster
 
     def dispatch_cost(self, cluster: int, vpn: int) -> int:
         """Handler dispatch cost for a message between ``cluster`` and

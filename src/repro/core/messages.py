@@ -44,7 +44,9 @@ single-writer optimization (see ``docs/PROTOCOL.md``).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar
 
@@ -56,6 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "MsgType",
     "ProtocolMessage",
+    "message",
     "Upgrade",
     "PinvAck",
     "Pinv",
@@ -111,7 +114,58 @@ class MsgType(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
+@functools.lru_cache(maxsize=None)
+def _compile_init(source: str):
+    # Most message classes share one field list; compile each source once.
+    return compile(source, "<message __init__>", "exec")
+
+
+def _dict_init(cls: type) -> Callable[..., None]:
+    """An ``__init__`` for frozen dataclass ``cls`` that stores each field
+    straight into the instance ``__dict__``.
+
+    The dataclass-generated constructor of a frozen class writes every
+    field through ``object.__setattr__``; on the message path that is
+    about half of a message's construction cost.  The signature (names,
+    order, defaults) is the generated one, so keyword and positional
+    calls, :func:`dataclasses.replace` and :func:`dataclasses.fields`
+    behave exactly as before, and assignment still raises
+    :class:`dataclasses.FrozenInstanceError`.
+    """
+    params, stores, defaults = [], [], {}
+    for f in dataclasses.fields(cls):
+        if not f.init or f.default_factory is not dataclasses.MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: unsupported message field")
+        if f.default is dataclasses.MISSING:
+            params.append(f.name)
+        else:
+            defaults[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        stores.append(f"    d[{f.name!r}] = {f.name}\n")
+    source = (
+        f"def __init__(self, {', '.join(params)}):\n"
+        "    d = self.__dict__\n" + "".join(stores)
+    )
+    namespace: dict = {}
+    exec(_compile_init(source), defaults, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+def message(cls: type) -> type:
+    """Class decorator of every protocol message class, in every engine.
+
+    Makes ``cls`` a frozen, identity-compared dataclass
+    (``@dataclass(frozen=True, eq=False)``) and swaps in the cheaper
+    constructor of :func:`_dict_init`.
+    """
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls.__init__ = _dict_init(cls)
+    return cls
+
+
+@message
 class ProtocolMessage:
     """Base of every protocol message.
 
@@ -149,7 +203,7 @@ class ProtocolMessage:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class Upgrade(ProtocolMessage):
     """Request read->write privilege upgrade (arc 2)."""
 
@@ -159,7 +213,7 @@ class Upgrade(ProtocolMessage):
     on_done: Callable[[], None] = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class PinvAck(ProtocolMessage):
     """Acknowledge a TLB shootdown (arcs 15-16)."""
 
@@ -172,7 +226,7 @@ class PinvAck(ProtocolMessage):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class Pinv(ProtocolMessage):
     """Invalidate one processor's TLB entry (arcs 11-12)."""
 
@@ -180,7 +234,7 @@ class Pinv(ProtocolMessage):
     label: ClassVar[str] = MsgType.PINV.value
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class UpAck(ProtocolMessage):
     """Acknowledge an upgrade (arc 7)."""
 
@@ -195,7 +249,7 @@ class UpAck(ProtocolMessage):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class Rreq(ProtocolMessage):
     """Read data request (arc 5)."""
 
@@ -207,7 +261,7 @@ class Rreq(ProtocolMessage):
         return False
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class Wreq(ProtocolMessage):
     """Write data request (arc 5)."""
 
@@ -219,7 +273,7 @@ class Wreq(ProtocolMessage):
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class Rel(ProtocolMessage):
     """Release one dirty page (arc 8)."""
 
@@ -234,7 +288,7 @@ class Rel(ProtocolMessage):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class Rdat(ProtocolMessage):
     """Read data grant (arc 6): control header plus the page."""
 
@@ -251,7 +305,7 @@ class Rdat(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class Wdat(ProtocolMessage):
     """Write data grant (arc 6): control header plus the page."""
 
@@ -268,7 +322,7 @@ class Wdat(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class Rack(ProtocolMessage):
     """Acknowledge a release (arcs 9-10)."""
 
@@ -283,7 +337,7 @@ class Rack(ProtocolMessage):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class Ack(ProtocolMessage):
     """Acknowledge a read-copy invalidation (arc 15).
 
@@ -298,7 +352,7 @@ class Ack(ProtocolMessage):
     dirty: bool = False
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class Diff(ProtocolMessage):
     """Acknowledge a write-copy invalidation with the Munin diff."""
 
@@ -312,7 +366,7 @@ class Diff(ProtocolMessage):
         return config.control_msg_bytes + DIFF_ENTRY_BYTES * len(self.indices)
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class OneWdata(ProtocolMessage):
     """Single-writer invalidation response: the whole page travels home,
     applied as a diff against the twin (see ``docs/PROTOCOL.md``)."""
@@ -327,7 +381,7 @@ class OneWdata(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class Wnotify(ProtocolMessage):
     """Notify the home of a read->write upgrade (arc 18)."""
 
@@ -340,7 +394,7 @@ class Wnotify(ProtocolMessage):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class Inv(ProtocolMessage):
     """Invalidate an SSMP's page copy (arc 14).
 
@@ -359,7 +413,7 @@ class Inv(ProtocolMessage):
         return "inv"
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class OneWinv(ProtocolMessage):
     """Invalidate the single writer's copy, which it keeps (arc 14)."""
 
@@ -376,7 +430,7 @@ class OneWinv(ProtocolMessage):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class RetainedUnlock(ProtocolMessage):
     """Release-round completion signal for a retained single-writer copy:
     the copy is consistent with home again and may serve mappings."""

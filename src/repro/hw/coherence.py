@@ -373,11 +373,13 @@ class CacheSystem:
         protocol can use for the ``fast_read_clean`` ablation.
         """
         directory = self._lines[cluster]
-        present = 0
-        for line in range(first_line, first_line + nlines):
-            if directory.pop(line, None) is not None:
-                present += 1
-        return present
+        # The set intersection probes the page's line range against the
+        # directory in C; only the (typically one or two) lines actually
+        # present are deleted in Python.
+        present = directory.keys() & range(first_line, first_line + nlines)
+        for line in present:
+            del directory[line]
+        return len(present)
 
     def lines_cached(self, cluster: int) -> int:
         """Number of lines with directory state in ``cluster``."""

@@ -11,10 +11,15 @@ paper's Figure 1:
   configurable ``inter_ssmp_delay`` (the paper's LAN model: a fixed
   latency, no contention, exactly as in section 4.2.2).
 
-All routing is delegated to the pluggable :mod:`repro.net` subsystem —
+The networks themselves are the pluggable :mod:`repro.net` subsystem —
 topology/contention models behind the :class:`~repro.net.Interconnect`
 interface, deterministic fault injection, and a reliable-delivery
-transport — selected by :class:`~repro.params.NetworkConfig`.  With the
+transport — selected by :class:`~repro.params.NetworkConfig`.  The
+machine resolves routes once, at construction: a *stateless* link (every
+internal model; the external model when it is uncontended and neither
+faults nor the transport are on) has its latencies tabulated, and a send
+on it is one addition and one event.  Only a link that keeps state goes
+through :meth:`~repro.net.Interconnect.transit` per message.  With the
 default configuration every message takes the same single-event path the
 paper's model took, bit for bit.
 
@@ -46,7 +51,7 @@ __all__ = ["Machine", "MessageStats", "ProcessorState"]
 INTRA_WIRE_LATENCY = 5
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessorState:
     """Bookkeeping for one simulated processor."""
 
@@ -135,18 +140,35 @@ class Machine:
         self.transport = (
             ReliableTransport(self, net, config) if net.reliable_effective else None
         )
-
-    def wire_latency(self, src: int, dst: int) -> int:
-        """Uncontended one-way latency between two processors."""
-        if self.processors[src].cluster == self.processors[dst].cluster:
-            return self.internal.latency(src, dst)
-        return self.config.inter_ssmp_delay
+        # Routes are resolved once (see the module docstring): a stateless
+        # link's latency depends only on its endpoints, so it is tabulated.
+        self._cluster = [p.cluster for p in self.processors]
+        self._cluster_size = config.cluster_size
+        #: pid -> one-way latency to each processor of its own SSMP,
+        #: indexed by the destination's position ``dst % cluster_size``
+        self._intra_latency = [
+            [self.internal.latency(src, dst) for dst in config.processors_of(c)]
+            for src, c in enumerate(self._cluster)
+        ]
+        stateless_external = (
+            not self.external.contended
+            and self.faults is None
+            and self.transport is None
+        )
+        #: src cluster -> dst cluster -> one-way latency, or None when the
+        #: external link keeps state (contention, faults, transport)
+        self._external_latency = (
+            [
+                [self.external.latency(a, b) for b in range(config.num_clusters)]
+                for a in range(config.num_clusters)
+            ]
+            if stateless_external
+            else None
+        )
 
     def external_link(self, src: int, dst: int) -> str:
         """Stats key of the external link a ``src``→``dst`` message uses."""
-        return self.external.link_name(
-            self.processors[src].cluster, self.processors[dst].cluster
-        )
+        return self.external.link_name(self._cluster[src], self._cluster[dst])
 
     def send(
         self,
@@ -172,21 +194,30 @@ class Machine:
                 their payload size).  Only matters to contended
                 interconnect models.
         """
+        stats = self.stats
+        stats.by_label[label] += 1
+        if at is None:
+            at = self.sim.now
+        cluster = self._cluster
+        src_c = cluster[src]
+        dst_c = cluster[dst]
+        if src_c == dst_c:
+            stats.intra_ssmp += 1
+            latency = self._intra_latency[src][dst % self._cluster_size]
+            self.sim.schedule_at(at + latency, fn, *args)
+            return
         if size is None:
             size = self.config.control_msg_bytes
-        send_time = self.sim.now if at is None else at
-        self.stats.by_label[label] += 1
-        if self.processors[src].cluster == self.processors[dst].cluster:
-            self.stats.intra_ssmp += 1
-            transit = self.internal.transit(src, dst, size, send_time)
-            self.sim.schedule_at(transit.arrival, fn, *args)
-            return
-        self.stats.inter_ssmp += 1
-        self.stats.inter_ssmp_bytes += size
-        if self.transport is not None:
-            self.transport.send(src, dst, fn, args, label, send_time, size)
+        stats.inter_ssmp += 1
+        stats.inter_ssmp_bytes += size
+        external = self._external_latency
+        if external is not None:
+            stats.wire_messages += 1
+            self.sim.schedule_at(at + external[src_c][dst_c], fn, *args)
+        elif self.transport is not None:
+            self.transport.send(src, dst, fn, args, label, at, size)
         else:
-            self._transmit_external(src, dst, fn, args, send_time, size)
+            self._transmit_external(src, dst, fn, args, at, size)
 
     def _transmit_external(
         self,
@@ -203,8 +234,8 @@ class Machine:
         original, duplicate, retransmission, ack — faces the same faults
         and the same contention.
         """
-        src_c = self.processors[src].cluster
-        dst_c = self.processors[dst].cluster
+        src_c = self._cluster[src]
+        dst_c = self._cluster[dst]
         entries = [time]
         if self.faults is not None:
             decision = self.faults.decide(self.external.link_name(src_c, dst_c), time)
@@ -247,7 +278,10 @@ class Machine:
         the completion time, at which the caller should schedule replies.
         """
         proc = self.processors[pid]
-        start = max(self.sim.now, proc.handler_free_at)
+        start = proc.handler_free_at
+        now = self.sim.now
+        if start < now:
+            start = now
         finish = start + cycles
         proc.handler_free_at = finish
         proc.stolen_cycles += cycles

@@ -15,6 +15,12 @@ spaces exist, mirroring the paper's Figure 1:
   message on one shared link; :class:`SwitchedFabric` gives each
   ordered cluster pair a dedicated FIFO link.
 
+Stateless models are routed by table: the
+:class:`~repro.machine.Machine` tabulates :meth:`Interconnect.latency`
+for every endpoint pair once, so a stateless model's ``latency`` must be
+a pure function of its endpoints.  :meth:`Interconnect.transit` runs per
+message only where a link keeps state.
+
 Contended models (``contended = True``) must be entered *at* the wire
 entry time: the :class:`~repro.machine.Machine` schedules a simulator
 event at the send time and calls :meth:`Interconnect.transit` inside
@@ -73,7 +79,13 @@ class Interconnect:
         raise NotImplementedError
 
     def latency(self, src: int, dst: int) -> int:
-        """Uncontended one-way latency (used for cost estimates)."""
+        """Uncontended one-way latency.
+
+        For a model without ``contended`` this is the route latency the
+        machine tabulates and charges every message, so such a model's
+        :meth:`transit` must depend on neither ``size`` nor ``now``
+        beyond ``now + latency``.
+        """
         return self.transit(src, dst, 0, 0).arrival
 
     def link_name(self, src: int, dst: int) -> str:

@@ -9,12 +9,11 @@ acquire points instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
-from repro.core.messages import DIFF_ENTRY_BYTES, ProtocolMessage
+from repro.core.messages import DIFF_ENTRY_BYTES, ProtocolMessage, message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.params import MachineConfig
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class GRreq(ProtocolMessage):
     """Cluster -> home: fetch a read copy."""
 
@@ -42,7 +41,7 @@ class GRreq(ProtocolMessage):
         return False
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class GWreq(ProtocolMessage):
     """Cluster -> home: fetch a writable copy (no exclusivity implied)."""
 
@@ -53,7 +52,7 @@ class GWreq(ProtocolMessage):
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class GData(ProtocolMessage):
     """Home -> cluster: read copy, stamped with the home's version."""
 
@@ -70,7 +69,7 @@ class GData(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class GWdata(ProtocolMessage):
     """Home -> cluster: writable copy (the client twins it on arrival)."""
 
@@ -87,7 +86,7 @@ class GWdata(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class GDiff(ProtocolMessage):
     """Releaser -> home: one dirty page's diff; bumps the home version."""
 
@@ -101,7 +100,7 @@ class GDiff(ProtocolMessage):
         return config.control_msg_bytes + DIFF_ENTRY_BYTES * n
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class GRack(ProtocolMessage):
     """Home -> releaser: diff applied; carries the new page version."""
 
@@ -110,14 +109,14 @@ class GRack(ProtocolMessage):
     version: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class GAreq(ProtocolMessage):
     """Acquirer -> home: refresh a written page found stale at acquire."""
 
     label: ClassVar[str] = "G_AREQ"
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class GAdata(ProtocolMessage):
     """Home -> acquirer: fresh base for an acquire-time refresh."""
 

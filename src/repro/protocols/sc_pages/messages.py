@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
-from repro.core.messages import ProtocolMessage
+from repro.core.messages import ProtocolMessage, message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.params import MachineConfig
@@ -24,7 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class ScRreq(ProtocolMessage):
     """Cluster -> home: fetch a shared (read) copy."""
 
@@ -35,7 +34,7 @@ class ScRreq(ProtocolMessage):
         return False
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class ScWreq(ProtocolMessage):
     """Cluster -> home: request exclusive (write) ownership."""
 
@@ -46,7 +45,7 @@ class ScWreq(ProtocolMessage):
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class ScData(ProtocolMessage):
     """Home -> cluster: shared read copy."""
 
@@ -62,7 +61,7 @@ class ScData(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class ScWgrant(ProtocolMessage):
     """Home -> cluster: exclusive write copy (everyone else is gone)."""
 
@@ -78,7 +77,7 @@ class ScWgrant(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class ScDown(ProtocolMessage):
     """Home -> writer: write back; ``drop`` invalidates, else downgrade
     to a shared copy."""
@@ -88,7 +87,7 @@ class ScDown(ProtocolMessage):
     drop: bool = False
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class ScWb(ProtocolMessage):
     """Writer -> home: the authoritative page travels back; ``kept``
     reports whether a downgraded shared copy remains."""
@@ -102,14 +101,14 @@ class ScWb(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class ScInv(ProtocolMessage):
     """Home -> reader: drop your shared copy."""
 
     label: ClassVar[str] = "SC_INV"
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class ScIack(ProtocolMessage):
     """Reader -> home: shared copy dropped."""
 

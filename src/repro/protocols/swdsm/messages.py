@@ -7,12 +7,11 @@ prefixed ``S_`` so bus flow summaries never collide with Table 2 names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar
 
 import numpy as np
 
-from repro.core.messages import DIFF_ENTRY_BYTES, ProtocolMessage
+from repro.core.messages import DIFF_ENTRY_BYTES, ProtocolMessage, message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.params import MachineConfig
@@ -20,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["SRreq", "SWreq", "SData", "SDiff", "SInv", "SIack", "SRack"]
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class SRreq(ProtocolMessage):
     """Node -> home: fetch a read copy."""
 
@@ -31,7 +30,7 @@ class SRreq(ProtocolMessage):
         return False
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class SWreq(ProtocolMessage):
     """Node -> home: fetch a write copy."""
 
@@ -42,7 +41,7 @@ class SWreq(ProtocolMessage):
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class SData(ProtocolMessage):
     """Home -> node: page data grant (read or write)."""
 
@@ -55,7 +54,7 @@ class SData(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class SDiff(ProtocolMessage):
     """Releaser -> home: one dirty page's diff (eager release).
 
@@ -76,14 +75,14 @@ class SDiff(ProtocolMessage):
         return config.control_msg_bytes + DIFF_ENTRY_BYTES * n
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class SInv(ProtocolMessage):
     """Home -> node: invalidate your copy (eager release round)."""
 
     label: ClassVar[str] = "S_INV"
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class SIack(ProtocolMessage):
     """Node -> home: invalidation done; carries a diff when the dropped
     copy was a write copy with uncommitted changes."""
@@ -98,7 +97,7 @@ class SIack(ProtocolMessage):
         return config.control_msg_bytes + DIFF_ENTRY_BYTES * n
 
 
-@dataclass(frozen=True, eq=False)
+@message
 class SRack(ProtocolMessage):
     """Home -> releaser: release of one page acknowledged."""
 

@@ -62,6 +62,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+from array import array
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -208,7 +209,7 @@ class _StatCells:
             f.bytes += db
             f.latency_cycles += dl
         for k, samples in dlats.items():
-            self.latencies.setdefault(k, []).extend(samples)
+            self.latencies.setdefault(k, array("q")).extend(samples)
         for i, d in enumerate(dcounts):
             if d:
                 self.cache_counts[i] += d

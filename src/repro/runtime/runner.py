@@ -483,7 +483,13 @@ class Runtime:
         now = self.sim.now
         elapsed = now - t.block_start
         t.time = now
-        setattr(t, bucket, getattr(t, bucket) + elapsed)
+        # one branch per fixed bucket: cheaper than setattr/getattr here
+        if bucket == "mgs":
+            t.mgs += elapsed
+        elif bucket == "lock":
+            t.lock += elapsed
+        else:  # "barrier"
+            t.barrier += elapsed
         self._discard_stolen(t)
         t.last_yield = now
         self._resume(t, None)

@@ -25,6 +25,8 @@ from typing import Any, Callable
 
 __all__ = ["Simulator"]
 
+_heappush = heapq.heappush
+
 
 class Simulator:
     """A deterministic discrete-event simulator.
@@ -41,27 +43,28 @@ class Simulator:
         10
     """
 
-    __slots__ = ("_heap", "_now", "_seq", "_events_processed", "_due", "_batching")
+    __slots__ = ("_heap", "now", "_seq", "_events_processed", "_due", "_batching")
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Callable[..., None], tuple[Any, ...]]] = []
-        self._now: int = 0
+        #: current simulated time in cycles; a plain slot because every
+        #: handler reads it, and only the simulator itself advances it
+        self.now: int = 0
         self._seq: int = 0
         self._events_processed: int = 0
-        #: events due at exactly ``_now``, in seq order (only while running)
+        #: events due at exactly ``now``, in seq order (only while running)
         self._due: deque[tuple[int, int, Callable[..., None], tuple[Any, ...]]] = (
             deque()
         )
         self._batching: bool = False
 
     @property
-    def now(self) -> int:
-        """Current simulated time in cycles."""
-        return self._now
-
-    @property
     def events_processed(self) -> int:
-        """Total number of events executed so far."""
+        """Total number of events executed so far.
+
+        :meth:`run` counts in a local and adds it when it returns (or
+        raises), so the value is exact whenever no ``run`` is active.
+        """
         return self._events_processed
 
     @property
@@ -73,22 +76,24 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` cycles."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self.schedule_at(self._now + delay, fn, *args)
+        self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: int, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` at absolute ``time`` cycles."""
-        if time < self._now:
+        now = self.now
+        if time < now:
             raise ValueError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"cannot schedule into the past (time={time}, now={now})"
             )
-        if self._batching and time == self._now:
+        seq = self._seq
+        self._seq = seq + 1
+        if time == now and self._batching:
             # The current-time batch already drained every heap entry at
             # ``time``; a fresh event has a larger seq than all of them,
             # so FIFO append preserves (time, seq) order exactly.
-            self._due.append((time, self._seq, fn, args))
+            self._due.append((time, seq, fn, args))
         else:
-            heapq.heappush(self._heap, (time, self._seq, fn, args))
-        self._seq += 1
+            _heappush(self._heap, (time, seq, fn, args))
 
     def run(self, until: int | None = None, max_events: int | None = None) -> None:
         """Process events until the queue drains.
@@ -102,33 +107,38 @@ class Simulator:
         heap = self._heap
         due = self._due
         heappop = heapq.heappop
+        popleft = due.popleft
+        # ``processed == limit`` is the guard; -1 never matches
+        limit = -1 if max_events is None else max(0, max_events)
         processed = 0
         self._batching = True
         try:
-            while heap or due:
+            while True:
                 if not due:
+                    if not heap:
+                        break
                     time = heap[0][0]
                     if until is not None and time > until:
-                        self._now = until
+                        self.now = until
                         return
-                    self._now = time
+                    self.now = time
                     while heap and heap[0][0] == time:
                         due.append(heappop(heap))
-                if max_events is not None and processed >= max_events:
+                if processed == limit:
                     raise RuntimeError(
                         f"exceeded max_events={max_events}; likely livelock"
                     )
-                _time, _seq, fn, args = due.popleft()
+                _time, _seq, fn, args = popleft()
                 fn(*args)
-                self._events_processed += 1
                 processed += 1
         finally:
+            self._events_processed += processed
             self._batching = False
             # On an exception (max_events, a handler raising) the batch may
             # hold undrained events; push them back so ``pending``/``step``
             # keep seeing a consistent queue.
             while due:
-                heapq.heappush(heap, due.popleft())
+                heapq.heappush(heap, popleft())
 
     def reset_quiescent(self, now: int) -> None:
         """Move the clock while the event queue is empty.
@@ -146,7 +156,7 @@ class Simulator:
             raise RuntimeError(
                 f"reset_quiescent with {self.pending} events pending"
             )
-        self._now = now
+        self.now = now
 
     def replay_advance(self, now: int, events: int) -> None:
         """Apply a replayed phase's clock and event-count effect.
@@ -162,7 +172,7 @@ class Simulator:
             )
         if events < 0:
             raise ValueError(f"negative replayed event count {events}")
-        self._now = now
+        self.now = now
         self._events_processed += events
 
     def step(self) -> bool:
@@ -170,7 +180,7 @@ class Simulator:
         if not self._heap:
             return False
         time, _seq, fn, args = heapq.heappop(self._heap)
-        self._now = time
+        self.now = time
         fn(*args)
         self._events_processed += 1
         return True

@@ -15,7 +15,16 @@ import json
 
 import pytest
 
-from repro.apps import jacobi
+from repro.apps import (
+    ALL_APPS,
+    barnes_hut,
+    jacobi,
+    matmul,
+    scanphase,
+    tsp,
+    water,
+    water_kernel,
+)
 from repro.bench import sweep as sweep_mod
 from repro.bench.cache import (
     CacheVerifyError,
@@ -141,6 +150,37 @@ def test_app_run_round_trips_bit_for_bit():
     assert restored.result.transactions == run.result.transactions
     # and the canonical serialized forms are identical (the verify contract)
     assert canonical_json(app_run_to_dict(restored)) == canonical_json(payload)
+
+
+#: a small run of every app in ``repro.apps``
+SMALL_PARAMS = {
+    "jacobi": PARAMS,
+    "matmul": matmul.MatmulParams(n=12),
+    "tsp": tsp.TSPParams(ncities=6),
+    "water": water.WaterParams(n_molecules=11, iterations=1),
+    "barnes-hut": barnes_hut.BarnesHutParams(n_bodies=16, iterations=1),
+    "water-kernel": water_kernel.WaterKernelParams(n_molecules=16),
+    "scanphase": scanphase.ScanPhaseParams(words=256, phases=2),
+}
+
+
+def test_small_params_cover_every_app():
+    assert set(SMALL_PARAMS) == set(ALL_APPS)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
+def test_every_app_run_round_trips_through_json(name):
+    config = MachineConfig(total_processors=4, cluster_size=2)
+    run = ALL_APPS[name].run(config, SMALL_PARAMS[name])
+    assert type(run.valid) is bool
+    payload = json.loads(json.dumps(app_run_to_dict(run)))
+    restored = app_run_from_dict(payload)
+    assert restored.valid is run.valid
+    assert restored.max_error == run.max_error
+    assert restored.result.total_time == run.result.total_time
+    assert canonical_json(app_run_to_dict(restored)) == canonical_json(
+        app_run_to_dict(run)
+    )
 
 
 # ---------------------------------------------------------------------------

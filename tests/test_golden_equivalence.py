@@ -17,7 +17,7 @@ fast and slow engines.
 
 import pytest
 
-from repro.apps import jacobi
+from repro.apps import jacobi, tsp
 from repro.apps.jacobi import JacobiParams
 from repro.params import MachineConfig, NetworkConfig
 
@@ -92,3 +92,104 @@ def test_fastpath_and_slow_path_full_state_identical():
     slow = _full_state(False)
     for key in fast:
         assert fast[key] == slow[key], f"fastpath changed {key}"
+
+
+# ---------------------------------------------------------------------------
+# both sides of the machine's route split
+# ---------------------------------------------------------------------------
+#
+# ``Machine`` tabulates the latency of a stateless link once and sends on
+# it with one addition; only links that keep state (contended external
+# models, fault injection, the reliable transport) go through
+# ``Interconnect.transit``.  The rows below were captured before the
+# route tables existed and pin each side of that split: a mesh internal
+# network (stateless, endpoint-dependent latency), a lossy external
+# network under the reliable transport (stateful), and a small TSP point
+# (lock- and message-bound).  The contended bus/fabric side is pinned by
+# ``GOLDEN`` above.  Each row is (total_time, inter_ssmp, intra_ssmp,
+# network_summary()).
+
+
+def _net(internal="wire", reliable=False, **counts):
+    """A ``network_summary()`` with every counter not named left at zero."""
+    summary = {
+        "external_model": "fixed",
+        "internal_model": internal,
+        "reliable_transport": reliable,
+        "queue_cycles": 0,
+        "queue_cycles_by_link": {},
+        "retransmits_by_link": {},
+    }
+    for name in (
+        "inter_ssmp", "intra_ssmp", "inter_ssmp_bytes", "wire_messages",
+        "drops", "dups_injected", "delays_injected", "retransmits",
+        "acks_sent", "dups_suppressed",
+    ):
+        summary[name] = 0
+    summary.update(counts)
+    return summary
+
+
+#: Jacobi Figure 6 curve (as ``GOLDEN``) with ``NetworkConfig(internal="mesh")``
+MESH_GOLDEN = {
+    1: (621723, 182, 286, _net("mesh", inter_ssmp=182, intra_ssmp=286,
+                               inter_ssmp_bytes=54656, wire_messages=182)),
+    2: (593898, 78, 286, _net("mesh", inter_ssmp=78, intra_ssmp=286,
+                              inter_ssmp_bytes=23424, wire_messages=78)),
+    4: (591845, 26, 286, _net("mesh", inter_ssmp=26, intra_ssmp=286,
+                              inter_ssmp_bytes=7808, wire_messages=26)),
+    8: (512474, 0, 0, _net("mesh")),
+}
+
+#: Jacobi at C=2 on a lossy external network (the transport turns on)
+LOSSY = NetworkConfig(drop_rate=0.10, dup_rate=0.02, delay_rate=0.02,
+                      fault_seed=12345)
+LOSSY_GOLDEN = (
+    605511, 78, 286,
+    _net(
+        reliable=True, inter_ssmp=78, intra_ssmp=286, inter_ssmp_bytes=23424,
+        wire_messages=172, drops=21, dups_injected=2, delays_injected=4,
+        retransmits=23, retransmits_by_link={"lan": 23}, acks_sent=90,
+        dups_suppressed=12,
+        faults_by_link={
+            "lan": {"transmissions": 191, "drops": 21, "dups": 2, "delays": 4}
+        },
+    ),
+)
+
+#: a small TSP point: 7 cities, 8 processors, C=2
+TSP_GOLDEN = (
+    49781323, 13433, 11869,
+    _net(inter_ssmp=13433, intra_ssmp=11869, inter_ssmp_bytes=3209048,
+         wire_messages=13433),
+)
+
+
+def _route_row(run):
+    run.require_valid()
+    r = run.result
+    return (r.total_time, r.messages_inter_ssmp, r.messages_intra_ssmp,
+            r.network_stats)
+
+
+@pytest.mark.parametrize("cluster_size", sorted(MESH_GOLDEN))
+def test_mesh_internal_network_is_bit_for_bit(cluster_size):
+    config = MachineConfig(
+        total_processors=8,
+        cluster_size=cluster_size,
+        network=NetworkConfig(internal="mesh"),
+    )
+    run = jacobi.run(config, JacobiParams(n=32, iterations=3))
+    assert _route_row(run) == MESH_GOLDEN[cluster_size]
+
+
+def test_lossy_reliable_transport_is_bit_for_bit():
+    config = MachineConfig(total_processors=8, cluster_size=2, network=LOSSY)
+    run = jacobi.run(config, JacobiParams(n=32, iterations=3))
+    assert _route_row(run) == LOSSY_GOLDEN
+
+
+def test_small_tsp_point_is_bit_for_bit():
+    config = MachineConfig(total_processors=8, cluster_size=2)
+    run = tsp.run(config, tsp.TSPParams(ncities=7))
+    assert _route_row(run) == TSP_GOLDEN

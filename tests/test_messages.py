@@ -1,7 +1,15 @@
 """Table 2 completeness: every protocol message type exists, has exactly
 one registered handler, and flows on the wire under a mixed workload."""
 
+import dataclasses
+
+import pytest
+
+from repro.core import messages as core_messages
 from repro.core.messages import TABLE2_CLASSES, MsgType, ProtocolMessage
+from repro.protocols.gcs import messages as gcs_messages
+from repro.protocols.sc_pages import messages as sc_messages
+from repro.protocols.swdsm import messages as swdsm_messages
 from repro.params import MachineConfig
 from repro.runtime import Runtime
 
@@ -18,12 +26,36 @@ def test_table2_message_set_is_complete():
     assert {m.value for m in MsgType} == expected
 
 
+def _engine_message_classes():
+    """Every message class of the four engines (Table 2 plus internal)."""
+    classes = []
+    for module in (core_messages, swdsm_messages, sc_messages, gcs_messages):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if isinstance(obj, type) and issubclass(obj, ProtocolMessage):
+                classes.append(obj)
+    return classes
+
+
 def test_every_type_is_a_frozen_message_class():
     for mtype, cls in TABLE2_CLASSES.items():
         assert issubclass(cls, ProtocolMessage)
         assert cls.label == mtype.value
         msg = cls.__doc__ or ""
         assert msg.strip(), f"{cls.__name__} must document its Table 2 arc"
+    classes = _engine_message_classes()
+    assert set(TABLE2_CLASSES.values()) <= set(classes)
+    for cls in classes:
+        msg = cls(vpn=3, src_pid=0, src_cluster=0, dst_pid=5, dst_cluster=2, txn=7)
+        for f in dataclasses.fields(msg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(msg, f.name, getattr(msg, f.name))
+        copy = dataclasses.replace(msg, txn=8)
+        assert type(copy) is cls and copy is not msg
+        fields = [f.name for f in dataclasses.fields(msg)]
+        assert {n: getattr(copy, n) for n in fields} == {
+            **{n: getattr(msg, n) for n in fields}, "txn": 8
+        }, cls.__name__
 
 
 def test_each_type_has_exactly_one_handler():

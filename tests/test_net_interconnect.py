@@ -59,6 +59,51 @@ def test_mesh2d_internal_model_in_machine():
     assert m.stats.intra_ssmp == 2
 
 
+def test_mesh2d_route_table_in_a_later_cluster():
+    # Positions are taken within each SSMP: p4..p7 form cluster 1's 2x2
+    # mesh, so p4 -> p7 is corner to corner (2 hops).
+    net = NetworkConfig(internal="mesh", mesh_hop_latency=3)
+    sim, m = make_machine(net, total=8, cluster=4)
+    arrivals = []
+    m.send(4, 7, lambda: arrivals.append(sim.now), at=10)
+    m.send(5, 4, lambda: arrivals.append(sim.now), at=10)
+    sim.run()
+    assert arrivals == [10 + 5 + 1 * 3, 10 + 5 + 2 * 3]
+
+
+@pytest.mark.parametrize(
+    "network, stateful",
+    [
+        (None, False),
+        (NetworkConfig(internal="mesh"), False),
+        (NetworkConfig(external="bus"), True),
+        (NetworkConfig(external="fabric"), True),
+        (NetworkConfig(drop_rate=0.1), True),
+        (NetworkConfig(reliable=True), True),
+    ],
+)
+def test_transit_runs_per_message_only_on_stateful_links(network, stateful):
+    """Stateless links are routed by the machine's latency tables; only
+    contention, faults or the transport send a message through
+    ``Interconnect.transit``."""
+    sim, m = make_machine(network)
+    calls = []
+    for model in (m.internal, m.external):
+        original = model.transit
+
+        def counted(*args, _original=original, _name=model.name):
+            calls.append(_name)
+            return _original(*args)
+
+        model.transit = counted
+    m.send(0, 1, lambda: None)  # same SSMP
+    m.send(0, 2, lambda: None)  # across SSMPs
+    sim.run()
+    assert m.stats.intra_ssmp == 1 and m.stats.inter_ssmp == 1
+    assert m.internal.name not in calls
+    assert bool(calls) is stateful
+
+
 def test_shared_bus_serializes():
     sim, m = make_machine(NetworkConfig(external="bus", bus_bandwidth=1.0))
     arrivals = []

@@ -147,3 +147,52 @@ def test_events_processed_counter():
         sim.schedule(i, lambda: None)
     sim.run()
     assert sim.events_processed == 5
+
+
+def test_events_processed_exact_after_handler_raises_mid_batch():
+    # ``run`` counts in a local; the count must still land when a
+    # handler raises, and the rest of the batch must go back on the queue.
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        raise KeyError("handler failed")
+
+    sim.schedule(5, fired.append, "a")
+    sim.schedule(5, boom)
+    sim.schedule(5, fired.append, "c")
+    sim.schedule(9, fired.append, "d")
+    with pytest.raises(KeyError):
+        sim.run()
+    assert fired == ["a"]
+    assert sim.events_processed == 1  # the raising event did not complete
+    assert sim.pending == 2
+    sim.run()
+    assert fired == ["a", "c", "d"]
+    assert sim.events_processed == 3
+
+
+def test_events_processed_exact_after_max_events_trips():
+    sim = Simulator()
+    fired = []
+    for i in range(6):
+        sim.schedule(3, fired.append, i)
+    with pytest.raises(RuntimeError):
+        sim.run(max_events=4)
+    assert fired == [0, 1, 2, 3]
+    assert sim.events_processed == 4
+    assert sim.pending == 2  # the undrained batch was pushed back
+    sim.run()
+    assert fired == list(range(6))
+    assert sim.events_processed == 6
+
+
+def test_events_processed_counts_a_run_stopped_by_until():
+    sim = Simulator()
+    for i in range(4):
+        sim.schedule(10 * i, lambda: None)
+    sim.run(until=15)
+    assert sim.events_processed == 2
+    assert sim.now == 15
+    sim.run()
+    assert sim.events_processed == 4
