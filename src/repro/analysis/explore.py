@@ -323,7 +323,7 @@ class _Harness:
     objects, but under *explicit* scheduling: operations are issued only
     when the search says so, and simulator events are delivered one at a
     time (``sim.step``), so every interleaving is reachable.  The access
-    recipe mirrors the Env slow path exactly: TLB probe, fault until
+    recipe mirrors Env's word path exactly: TLB probe, fault until
     mapped, hardware line-directory access, then the word read/write.
     """
 

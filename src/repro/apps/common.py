@@ -94,7 +94,6 @@ def make_runtime(
     config: MachineConfig,
     costs: CostModel | None = None,
     quantum: int = 1500,
-    fastpath: bool | None = None,
     replay: bool | None = None,
     replay_store=None,
 ) -> Runtime:
@@ -105,7 +104,6 @@ def make_runtime(
         config,
         costs,
         quantum,
-        fastpath=fastpath,
         replay=replay,
         replay_store=replay_store,
     )

@@ -38,7 +38,7 @@ fork-and-import per sweep.  Two things keep reuse invisible to callers:
 * workers forked long ago would hold a stale environment, so each job
   ships a snapshot of the caller's current ``REPRO_*`` variables and
   the worker applies it before running — toggles such as
-  ``REPRO_NO_FASTPATH``/``REPRO_NO_REPLAY`` and the replay-cache
+  ``REPRO_NO_REPLAY`` and the replay-cache
   selectors ``REPRO_REPLAY_CACHE``/``REPRO_REPLAY_CACHE_DIR``/
   ``REPRO_CACHE_DIR`` behave exactly as if the worker were forked at
   call time.  The snapshot only works if *module state derived from

@@ -7,7 +7,7 @@ allows" north star, made enforceable.  Each gated benchmark carries its
 own tolerance (see ``GATES``): the hit-path microbenchmark is tight,
 the end-to-end protocol workloads get the slack their wall-clock noise
 needs, and the replay speedup is gated as a ratio so a cached-sweep
-outlier can never mask a fast-path regression (every gate is checked
+outlier can never mask an access-path regression (every gate is checked
 independently).
 
 Usage::
@@ -19,16 +19,15 @@ Usage::
 Workloads:
 
 * ``hit_block`` — the hit-dominated inner loop: every processor streams
-  ``read_block`` over its own resident buffer.  Measured with the
-  fast-path access engine on and off (``speedup_fastpath`` is the
-  headline number for the hot-path engine).
+  ``read_block`` over its own resident buffer.  Cross-checked against
+  the same worker written as a loop of ``env.read`` calls (identical
+  cycles and cache statistics).
 * ``jacobi`` — one Figure 6 point (remote-miss heavy, protocol-bound):
   the end-to-end shape the figure suite stresses.
 * ``tsp_lock`` — a small Figure 8 TSP point (32 processors, cluster
   size 4): lock- and message-bound, so ``messages_per_sec`` (protocol
   messages delivered by the bus per host second) gates the message path
-  that the Jacobi and hit-path benchmarks barely touch.  Cross-checked
-  against the slow access engine (``tsp_lock_slow``) for identical cycles.
+  that the Jacobi and hit-path benchmarks barely touch.
 * ``swdsm_jacobi`` — the same point under the single-grain software-DSM
   baseline engine (``protocol="swdsm"``), so the comparison harness's
   rival engines are throughput-gated alongside MGS.
@@ -46,7 +45,8 @@ Workloads:
   the headline number for the replay engine.
 * ``write_block_fast`` — the write-side twin of ``hit_block``: every
   processor streams ``write_block`` over its own buffer, exercising the
-  vectorized all-hit scatter path (fast vs slow engine, cycle-checked).
+  vectorized all-hit scatter path (cross-checked against a loop of
+  ``env.write`` calls).
 * ``sweep_replay_warm`` — the persistent replay store
   (``repro.bench.cache.ReplayStore``): one priming run records the
   phase deltas, then a replay-off run (the cold bound: every phase
@@ -56,8 +56,10 @@ Workloads:
   phase from the store (zero new records) and agree with the cold run
   on simulated time and event count; ``speedup_warm`` is gated.
 
-Every run cross-checks fast-vs-slow cycle counts, so the perf smoke is
-also a determinism smoke.
+Every run cross-checks the batched block operations against word loops,
+and ``--check`` requires the Jacobi, swdsm Jacobi and TSP runs to
+reproduce the baseline's simulated time and event count (see
+``DETERMINISTIC``), so the perf smoke is also a determinism smoke.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ from repro.apps import jacobi, scanphase, tsp
 from repro.bench.cache import RunCache
 from repro.bench.sweep import default_config, run_sweep
 from repro.metrics.export import run_cache_to_dict
-from repro.params import MachineConfig
+from repro.params import WORD_BYTES, MachineConfig
 from repro.runtime import Runtime
 
-__all__ = ["run_perfsmoke", "check_against_baseline", "main", "GATES"]
+__all__ = ["run_perfsmoke", "check_against_baseline", "main", "GATES", "DETERMINISTIC"]
 
 #: bump when workloads change incompatibly (baselines stop comparing)
 SCHEMA = 4
@@ -99,25 +101,37 @@ GATES: dict[str, tuple[str, float]] = {
     "sweep_replay_warm": ("speedup_warm", 0.25),
 }
 
+#: benchmarks whose simulated run ``--check`` compares with the baseline:
+#: the same workload must reproduce the same cycles and events exactly
+DETERMINISTIC: dict[str, tuple[str, ...]] = {
+    "jacobi_fast": ("total_time", "events"),
+    "swdsm_jacobi_fast": ("total_time", "events"),
+    "tsp_lock": ("total_time", "events"),
+}
 
-def _hit_block_runtime(fastpath: bool, nwords: int, passes: int) -> Runtime:
+
+def _hit_block_runtime(nwords: int, passes: int, word_loop: bool) -> Runtime:
     config = MachineConfig(total_processors=4, cluster_size=2)
-    rt = Runtime(config, fastpath=fastpath)
+    rt = Runtime(config)
     arr = rt.array("buf", nwords * config.total_processors)
     arr.init([float(i) for i in range(nwords * config.total_processors)])
 
     def worker(env):
         base = arr.addr(env.pid * nwords)
         for _ in range(passes):
-            yield from env.read_block(base, nwords)
+            if word_loop:
+                for w in range(nwords):
+                    yield from env.read(base + w * WORD_BYTES)
+            else:
+                yield from env.read_block(base, nwords)
         yield from env.barrier()
 
     rt.spawn_all(worker)
     return rt
 
 
-def _bench_hit_block(fastpath: bool, nwords: int, passes: int) -> dict:
-    rt = _hit_block_runtime(fastpath, nwords, passes)
+def _bench_hit_block(nwords: int, passes: int, word_loop: bool = False) -> dict:
+    rt = _hit_block_runtime(nwords, passes, word_loop)
     words = nwords * passes * rt.config.total_processors
     t0 = time.perf_counter()
     result = rt.run()
@@ -132,9 +146,9 @@ def _bench_hit_block(fastpath: bool, nwords: int, passes: int) -> dict:
     }
 
 
-def _write_block_runtime(fastpath: bool, nwords: int, passes: int) -> Runtime:
+def _write_block_runtime(nwords: int, passes: int, word_loop: bool) -> Runtime:
     config = MachineConfig(total_processors=4, cluster_size=2)
-    rt = Runtime(config, fastpath=fastpath)
+    rt = Runtime(config)
     arr = rt.array("buf", nwords * config.total_processors)
     arr.init([float(i) for i in range(nwords * config.total_processors)])
 
@@ -142,21 +156,26 @@ def _write_block_runtime(fastpath: bool, nwords: int, passes: int) -> Runtime:
         base = arr.addr(env.pid * nwords)
         values = [float(env.pid + w) for w in range(nwords)]
         for _ in range(passes):
-            yield from env.write_block(base, values)
+            if word_loop:
+                for w, value in enumerate(values):
+                    yield from env.write(base + w * WORD_BYTES, value)
+            else:
+                yield from env.write_block(base, values)
         yield from env.barrier()
 
     rt.spawn_all(worker)
     return rt
 
 
-def _bench_write_block(fastpath: bool, nwords: int, passes: int) -> dict:
+def _bench_write_block(
+    nwords: int, passes: int, word_loop: bool = False
+) -> dict:
     """Hit-dominated write streaming: the vectorized scatter path.
 
     The first pass faults ownership in; every later pass is all write
-    hits, so throughput measures ``_write_block_vector`` (fast) against
-    the word-at-a-time store loop (slow).
+    hits, so throughput measures ``_write_block_vector``.
     """
-    rt = _write_block_runtime(fastpath, nwords, passes)
+    rt = _write_block_runtime(nwords, passes, word_loop)
     words = nwords * passes * rt.config.total_processors
     t0 = time.perf_counter()
     result = rt.run()
@@ -172,7 +191,6 @@ def _bench_write_block(fastpath: bool, nwords: int, passes: int) -> dict:
 
 
 def _bench_jacobi(
-    fastpath: bool,
     n: int,
     iterations: int,
     protocol: str = "mgs",
@@ -188,7 +206,7 @@ def _bench_jacobi(
     # on shared hardware.
     seconds = None
     for _ in range(reps):
-        rt = jacobi.make_runtime(config, fastpath=fastpath)
+        rt = jacobi.make_runtime(config)
         final = jacobi.build(rt, params)
         t0 = time.perf_counter()
         result = rt.run()
@@ -269,12 +287,12 @@ def _bench_cached_sweep(n: int, iterations: int) -> dict:
     }
 
 
-def _bench_tsp_lock(fastpath: bool, ncities: int, reps: int = 1) -> dict:
+def _bench_tsp_lock(ncities: int, reps: int = 1) -> dict:
     """One small Figure 8 TSP point, best-of-``reps`` (see _bench_jacobi)."""
     params = tsp.TSPParams(ncities=ncities)
     seconds = None
     for _ in range(reps):
-        rt = tsp.make_runtime(default_config(4), fastpath=fastpath)
+        rt = tsp.make_runtime(default_config(4))
         best = tsp.build(rt, params)
         t0 = time.perf_counter()
         result = rt.run()
@@ -409,6 +427,15 @@ def _bench_sweep_replay_warm(phases: int, reps: int = 1) -> dict:
     }
 
 
+def _same_run(name: str, batched: dict, loop: dict) -> None:
+    """The batched worker must simulate exactly what its word loop does."""
+    if (batched["total_time"], batched["cache_stats"]) != (
+        loop["total_time"],
+        loop["cache_stats"],
+    ):
+        raise AssertionError(f"batched access diverged from word loop ({name})")
+
+
 def run_perfsmoke(quick: bool = False) -> dict:
     """Measure the workload set and return the report dict."""
     if quick:
@@ -416,46 +443,18 @@ def run_perfsmoke(quick: bool = False) -> dict:
         jreps = 1
     else:
         # Jacobi at n=256 keeps enough interior (all-hit) rows per
-        # boundary row for the batched fast paths to show their real
+        # boundary row for the batched access paths to show their real
         # gain; n=64 at 32 processors is boundary rows only.
         nwords, passes, jn, jit, phases, ncities = 4096, 30, 256, 3, 32, 7
         jreps = 5
 
-    hit_fast = _bench_hit_block(True, nwords, passes)
-    hit_slow = _bench_hit_block(False, nwords, passes)
-    if (hit_fast["total_time"], hit_fast["cache_stats"]) != (
-        hit_slow["total_time"],
-        hit_slow["cache_stats"],
-    ):
-        raise AssertionError("fastpath diverged from slow path (hit_block)")
-
-    wb_fast = _bench_write_block(True, nwords, passes)
-    wb_slow = _bench_write_block(False, nwords, passes)
-    if (wb_fast["total_time"], wb_fast["cache_stats"]) != (
-        wb_slow["total_time"],
-        wb_slow["cache_stats"],
-    ):
-        raise AssertionError("fastpath diverged from slow path (write_block)")
-
-    jac_fast = _bench_jacobi(True, jn, jit, reps=jreps)
-    jac_slow = _bench_jacobi(False, jn, jit, reps=jreps)
-    if jac_fast["total_time"] != jac_slow["total_time"]:
-        raise AssertionError("fastpath diverged from slow path (jacobi)")
-
-    sw_fast = _bench_jacobi(True, jn, jit, protocol="swdsm", reps=jreps)
-    sw_slow = _bench_jacobi(False, jn, jit, protocol="swdsm", reps=jreps)
-    if sw_fast["total_time"] != sw_slow["total_time"]:
-        raise AssertionError(
-            "fastpath diverged from slow path (swdsm_jacobi)"
-        )
-
-    tsp_fast = _bench_tsp_lock(True, ncities, reps=jreps)
-    tsp_slow = _bench_tsp_lock(False, ncities, reps=jreps)
-    if (tsp_fast["total_time"], tsp_fast["events"]) != (
-        tsp_slow["total_time"],
-        tsp_slow["events"],
-    ):
-        raise AssertionError("fastpath diverged from slow path (tsp_lock)")
+    hit = _bench_hit_block(nwords, passes)
+    _same_run("hit_block", hit, _bench_hit_block(nwords, passes, True))
+    wb = _bench_write_block(nwords, passes)
+    _same_run("write_block", wb, _bench_write_block(nwords, passes, True))
+    jac = _bench_jacobi(jn, jit, reps=jreps)
+    sw = _bench_jacobi(jn, jit, protocol="swdsm", reps=jreps)
+    tsp_run = _bench_tsp_lock(ncities, reps=jreps)
 
     sweep = _bench_sweep(32, 3)
     cached = _bench_cached_sweep(32, 3)
@@ -473,37 +472,17 @@ def run_perfsmoke(quick: bool = False) -> dict:
             for bench, (metric, tol) in GATES.items()
         },
         "benchmarks": {
-            "hit_block_fast": hit_fast,
-            "hit_block_slow": hit_slow,
-            "write_block_fast": wb_fast,
-            "write_block_slow": wb_slow,
-            "jacobi_fast": jac_fast,
-            "jacobi_slow": jac_slow,
-            "swdsm_jacobi_fast": sw_fast,
-            "swdsm_jacobi_slow": sw_slow,
-            "tsp_lock": tsp_fast,
-            "tsp_lock_slow": tsp_slow,
+            "hit_block_fast": hit,
+            "write_block_fast": wb,
+            "jacobi_fast": jac,
+            "swdsm_jacobi_fast": sw,
+            "tsp_lock": tsp_run,
             "sweep": sweep,
             "sweep_cached": cached,
             "figure_replay": replay,
             "sweep_replay_warm": replay_warm,
         },
         "speedups": {
-            "hit_block_fastpath": round(
-                hit_slow["seconds"] / hit_fast["seconds"], 2
-            ),
-            "jacobi_fastpath": round(
-                jac_slow["seconds"] / jac_fast["seconds"], 2
-            ),
-            "swdsm_jacobi_fastpath": round(
-                sw_slow["seconds"] / sw_fast["seconds"], 2
-            ),
-            "tsp_lock_fastpath": round(
-                tsp_slow["seconds"] / tsp_fast["seconds"], 2
-            ),
-            "write_block_fastpath": round(
-                wb_slow["seconds"] / wb_fast["seconds"], 2
-            ),
             "warm_cache": cached["speedup_warm"],
             "figure_replay": replay["speedup_replay"],
             "sweep_replay_warm": replay_warm["speedup_warm"],
@@ -516,7 +495,8 @@ def check_against_baseline(report: dict, baseline: dict) -> list[str]:
 
     Every entry of :data:`GATES` is checked independently against its own
     tolerance — all failures are reported, so one benchmark's outlier
-    never hides another benchmark's regression.
+    never hides another benchmark's regression.  Every entry of
+    :data:`DETERMINISTIC` must match the baseline exactly.
     """
     failures = []
     if baseline.get("schema") != report.get("schema"):
@@ -540,6 +520,15 @@ def check_against_baseline(report: dict, baseline: dict) -> list[str]:
                 f"{bench}.{metric} regressed: {new} < {floor:.2f} "
                 f"(baseline {old}, tolerance {tolerance:.0%})"
             )
+    for bench, keys in DETERMINISTIC.items():
+        old = baseline.get("benchmarks", {}).get(bench, {})
+        new = report.get("benchmarks", {}).get(bench, {})
+        for key in keys:
+            if key in old and new.get(key) != old[key]:
+                failures.append(
+                    f"{bench}.{key} changed: {new.get(key)} != baseline "
+                    f"{old[key]} (the simulated run is not reproduced)"
+                )
     return failures
 
 
@@ -573,28 +562,21 @@ def main(argv: list[str] | None = None) -> int:
     b = report["benchmarks"]
     print(f"perfsmoke ({'quick' if args.quick else 'full'}):")
     print(
-        f"  hit_block   fast {b['hit_block_fast']['seconds']:.3f}s"
+        f"  hit_block   {b['hit_block_fast']['seconds']:.3f}s"
         f" ({b['hit_block_fast']['words_per_sec']:,} words/s)"
-        f"   slow {b['hit_block_slow']['seconds']:.3f}s"
-        f"   speedup {report['speedups']['hit_block_fastpath']}x"
+        "   = word loop"
     )
     print(
-        f"  jacobi      fast {b['jacobi_fast']['seconds']:.3f}s"
+        f"  jacobi      {b['jacobi_fast']['seconds']:.3f}s"
         f" ({b['jacobi_fast']['events_per_sec']:,} events/s)"
-        f"   slow {b['jacobi_slow']['seconds']:.3f}s"
-        f"   speedup {report['speedups']['jacobi_fastpath']}x"
     )
     print(
-        f"  swdsm_jacobi fast {b['swdsm_jacobi_fast']['seconds']:.3f}s"
+        f"  swdsm_jacobi {b['swdsm_jacobi_fast']['seconds']:.3f}s"
         f" ({b['swdsm_jacobi_fast']['events_per_sec']:,} events/s)"
-        f"   slow {b['swdsm_jacobi_slow']['seconds']:.3f}s"
-        f"   speedup {report['speedups']['swdsm_jacobi_fastpath']}x"
     )
     print(
-        f"  tsp_lock    fast {b['tsp_lock']['seconds']:.3f}s"
+        f"  tsp_lock    {b['tsp_lock']['seconds']:.3f}s"
         f" ({b['tsp_lock']['messages_per_sec']:,} messages/s)"
-        f"   slow {b['tsp_lock_slow']['seconds']:.3f}s"
-        f"   speedup {report['speedups']['tsp_lock_fastpath']}x"
     )
     print(
         f"  sweep       serial {b['sweep']['serial_seconds']:.3f}s"
@@ -608,10 +590,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{b['sweep_cached']['points']} hits, verified)"
     )
     print(
-        f"  write_block fast {b['write_block_fast']['seconds']:.3f}s"
+        f"  write_block {b['write_block_fast']['seconds']:.3f}s"
         f" ({b['write_block_fast']['words_per_sec']:,} words/s)"
-        f"   slow {b['write_block_slow']['seconds']:.3f}s"
-        f"   speedup {report['speedups']['write_block_fastpath']}x"
+        "   = word loop"
     )
     fr = b["figure_replay"]
     print(

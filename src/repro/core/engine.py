@@ -158,15 +158,6 @@ class Protocol:
     #: runtime then calls :meth:`acquire` at lock acquisition and
     #: barrier departure
     needs_acquire: ClassVar[bool] = False
-    #: adaptive burst-cache bypass profile (see ``repro.runtime.env``):
-    #: how many execution bursts the access engine samples before
-    #: deciding whether its burst caches pay off, and the average hits
-    #: per burst below which it rebinds to the plain slow paths.  All-
-    #: software engines (swdsm) override these: their miss services are
-    #: so much more expensive that the sampling window itself is a cost,
-    #: so they decide earlier and demand more.
-    fp_sample_bursts: ClassVar[int] = 32
-    fp_bypass_hits_per_burst: ClassVar[int] = 2
 
     def __init__(
         self,

@@ -33,10 +33,9 @@ access`, so the common case — a hit — is resolved with one dict probe and
 an inline privilege check before the full classify-and-update runs.
 Statistics live in a fixed-slot integer list indexed by ``AccessClass``
 position (no ``Counter``/enum hashing per access); the ``stats`` property
-rebuilds the Counter view for reporting.  ``record_hits`` lets the
-runtime's fast path (``repro.runtime.env``) account hits it proved
-without a directory probe; see ``docs/PERFORMANCE.md`` for why that is
-safe.
+rebuilds the Counter view for reporting.  ``record_hits`` lets a caller
+account hits it proved without a directory probe; see
+``docs/PERFORMANCE.md`` for why that is safe.
 """
 
 from __future__ import annotations
@@ -105,14 +104,14 @@ class CacheSystem:
             costs.miss_3party,
             costs.miss_software_dir,
         ]
-        #: cost of a hit, exposed so the runtime fast path can charge it
-        #: without a method call
+        #: cost of a hit, exposed so the batched runtime operations can
+        #: charge it without a method call
         self.hit_cost = costs.cache_hit
         #: most expensive miss class overall, and the most expensive
         #: *hardware* class (software servicing needs a sharer set that
         #: already outgrew the hardware pointers, so any other line is
         #: bounded by the hardware classes).  access_run admits lines
-        #: under the per-line tight bound; the runtime fast path reads
+        #: under the per-line tight bound; the batched runtime paths read
         #: ``worst_hw_miss`` to skip hopeless batch attempts.
         self.worst_miss = max(self._cost_of[1:])
         self.worst_hw_miss = max(self._cost_of[1:_SOFTWARE])
@@ -135,7 +134,7 @@ class CacheSystem:
         guaranteed hits for ``pid``.
 
         A read-only probe — no directory update, no statistics.  The
-        runtime's batched fast paths use it to charge whole runs of hit
+        runtime's batched operations use it to charge whole runs of hit
         words in closed form; the caller accounts the hits itself (e.g.
         via :meth:`record_hits`).
         """
@@ -257,9 +256,9 @@ class CacheSystem:
     def record_hits(self, n: int) -> None:
         """Account ``n`` hits classified outside the directory.
 
-        The runtime's fast path uses this for repeat accesses to the
-        line it touched last, which are hits by construction (the line
-        state cannot change while the thread runs uninterrupted).
+        For callers that classify repeat accesses to a line they just
+        touched, which are hits by construction (the line state cannot
+        change while the thread runs uninterrupted).
         """
         self._counts[_HIT] += n
 

@@ -1,7 +1,7 @@
 """Runtime: the programming API and thread driver for simulated apps."""
 
 from repro.runtime.env import Env
-from repro.runtime.runner import RunResult, Runtime, fastpath_enabled_default
+from repro.runtime.runner import RunResult, Runtime
 from repro.runtime.shared import SharedArray
 
 __all__ = [
@@ -9,5 +9,4 @@ __all__ = [
     "Runtime",
     "RunResult",
     "SharedArray",
-    "fastpath_enabled_default",
 ]

@@ -25,55 +25,30 @@ as in the paper's 32-processor runs: accesses go straight to the home
 copy through hardware coherence, only the software-virtual-memory
 translation overhead remains, and release points flush nothing.
 
-Fast paths
-----------
+Batched operations
+------------------
 
-Word accesses dominate simulation wall-clock, so ``Env`` keeps a
-fast-path cache across the current uninterrupted execution burst: the
-pages it has resolved — ``vpn -> (frame data, write-ok, owner)`` — and
-the hardware cache lines it has read and written.  A repeat access to a
-resolved page skips the TLB and frame-dictionary probes; a repeat access
-to a known line skips the hardware directory entirely (it is a hit by
-construction).  The batched :meth:`Env.read_block` /
-:meth:`Env.write_block` / :meth:`Env.read_many` APIs additionally
-resolve a whole run of accesses inside one generator, eliminating the
-per-word sub-generator round trip.
+``read`` and ``write`` are the plain one-access-at-a-time path: the
+golden reference every other operation is pinned against.  The batched
+operations — :meth:`Env.read_block`, :meth:`Env.write_block`,
+:meth:`Env.read_many` and :meth:`Env.write_many` — resolve a whole run
+of accesses inside one generator instead of paying one sub-generator
+round trip per word.  Each call keeps two small caches of what it has
+learned: the pages it has resolved (``vpn -> (frame data, owner)``) and
+the hardware cache lines it has touched.  A repeat access to a resolved
+page skips the TLB and frame-dictionary probes; a repeat access to a
+known line skips the hardware directory entirely (it is a hit by
+construction).
 
 This is safe because thread execution between suspension points is
 atomic: no simulator event — and therefore no protocol action, TLB
 shootdown, or directory update by another processor — can run while the
-thread's generator is executing.  The cache is dropped at every
-suspension point (fault, pause, lock, unlock, barrier), so the fast
-paths charge exactly the cycles, update exactly the statistics, and
-suspend at exactly the times the slow paths do.  The contract is pinned
-bit-for-bit by ``tests/test_golden_equivalence.py``; set
-``REPRO_NO_FASTPATH=1`` (or ``Runtime(..., fastpath=False)``) to force
-the original one-access-at-a-time code paths.  See
-``docs/PERFORMANCE.md``.
-
-Adaptive bypass
----------------
-
-The burst caches only pay for themselves when bursts are long enough to
-serve repeat accesses.  Miss-heavy loops with little per-burst reuse —
-Jacobi's compute-bound stencil is the canonical case: ~1300 cycles of
-per-point compute against a 1500-cycle quantum means nearly every
-access burst is a handful of words — spend more maintaining the caches
-than they save (the 0.89x regression BENCH_perfsmoke.json used to
-record).  Each ``Env`` therefore *samples* its own burst-cache hit rate
-over the engine's first ``fp_sample_bursts`` bursts and, when the
-observed hits per burst fall below ``fp_bypass_hits_per_burst``,
-rebinds its memory operations to the plain slow paths for the rest of
-the run.  The thresholds are per-engine class attributes on
-:class:`~repro.core.engine.Protocol`: an all-software engine like swdsm
-turns nearly every fault into a long software round, so its bursts are
-shorter, reuse is rarer, and the sampling window itself is a cost — it
-decides after a third of the bursts MGS samples and demands more reuse
-before keeping the caches.  Both engines are cycle-identical, and the
-decision depends only on deterministic simulation state, so results are
-bit-for-bit unchanged either way; only the wall-clock moves.  The
-bypass is disabled while the race detector has the access methods
-instrumented (rebinding would drop its recording wrappers).
+thread's generator is executing.  The caches are local to one call and
+are dropped at every suspension point inside it (fault or pause), so a
+batched call charges exactly the cycles, updates exactly the statistics,
+and suspends at exactly the times the equivalent loop of ``env.read`` /
+``env.write`` calls does.  The test suite pins that contract bit-for-bit
+against such loops; see ``docs/PERFORMANCE.md``.
 
 Vectorized batches
 ------------------
@@ -89,11 +64,11 @@ observation-equivalent by construction.
 
 ``write_many`` and ``write_block`` get the symmetric treatment: the
 all-hit *scatter* path proves every page resolved with write privilege
-(no faults), every line a guaranteed write hit (owner == pid, via the
-burst caches or one ``hit_lines(..., is_write=True)`` probe), and the
-whole charge inside the quantum — then lands the stores as one numpy
-scatter per touched page.  Write miss runs batch through
-:meth:`CacheSystem.access_run` exactly as reads do.
+(no faults), every line a guaranteed write hit (owner == pid, via one
+``hit_lines(..., is_write=True)`` probe), and the whole charge inside
+the quantum — then lands the stores as one numpy scatter per touched
+page.  Write miss runs batch through :meth:`CacheSystem.access_run`
+exactly as reads do.
 """
 
 from __future__ import annotations
@@ -120,11 +95,9 @@ class Env:
     """Per-thread view of the machine.
 
     The memory operations (``read``, ``write``, ``read_block``,
-    ``write_block``, ``read_many``, ``write_many``) are bound per
-    instance: to the fast-path implementations normally, or to the
-    original slow paths when the runtime was built with
-    ``fastpath=False`` (e.g. via the ``REPRO_NO_FASTPATH=1`` escape
-    hatch).  Both produce bit-for-bit identical simulations.
+    ``write_block``, ``read_many``, ``write_many``) are per-instance
+    slots, each bound once here to its one implementation, so observers
+    such as the race detector can wrap them per instance.
     """
 
     __slots__ = (
@@ -146,15 +119,7 @@ class Env:
         "_costs",
         "_ta",
         "_tp",
-        "_fp_pages",
-        "_fp_rlines",
-        "_fp_wlines",
-        "_fp_hits",
-        "_fp_bursts",
-        "_fp_adaptive",
-        "_fp_sample_bursts",
-        "_fp_bypass_threshold",
-        # per-instance bindings (fast or slow implementation)
+        # per-instance bindings of the memory operations
         "read",
         "write",
         "read_block",
@@ -183,254 +148,151 @@ class Env:
         self._costs = runtime.costs
         self._ta = self._costs.translate_array
         self._tp = self._costs.translate_pointer
-        # Pages resolved this burst: vpn -> (frame data, write-ok, owner).
-        self._fp_pages: dict[int, tuple] = {}
-        # Hardware cache lines known to hit for reads / for writes.
-        self._fp_rlines: set[int] = set()
-        self._fp_wlines: set[int] = set()
-        # Adaptive-bypass sampling state (see module docstring); the
-        # window and threshold are per-engine class attributes.
-        self._fp_hits = 0
-        self._fp_bursts = 0
-        self._fp_adaptive = runtime.fastpath
-        self._fp_sample_bursts = runtime.protocol.fp_sample_bursts
-        self._fp_bypass_threshold = runtime.protocol.fp_bypass_hits_per_burst
-        if runtime.fastpath:
-            self.read = self._read_fast
-            self.write = self._write_fast
-            self.read_block = self._read_block_fast
-            self.write_block = self._write_block_fast
-            self.read_many = self._read_many_fast
-            self.write_many = self._write_many_fast
-        else:
-            self.read = self._read_slow
-            self.write = self._write_slow
-            self.read_block = self._read_block_slow
-            self.write_block = self._write_block_slow
-            self.read_many = self._read_many_slow
-            self.write_many = self._write_many_slow
+        self.read = self._read
+        self.write = self._write
+        self.read_block = self._read_block
+        self.write_block = self._write_block
+        self.read_many = self._read_many
+        self.write_many = self._write_many
         detector = runtime.race_detector
         if detector is not None:
             # Opt-in happens-before race detection (repro.analysis):
-            # rebinds the five operations to recording wrappers that
+            # rebinds the six operations to recording wrappers that
             # delegate to the originals unchanged and charge nothing.
-            # The adaptive bypass must not rebind over those wrappers.
-            self._fp_adaptive = False
             detector.instrument(self)
 
     # ------------------------------------------------------------------
-    # fast-path cache maintenance
+    # memory operations — one word
     # ------------------------------------------------------------------
 
-    def _fp_reset(self) -> None:
-        """Drop the fast-path cache.
-
-        Called after every suspension point: while the thread was
-        suspended, protocol handlers may have invalidated its TLB entry,
-        replaced the frame data, or changed hardware directory state.
-        Cleared in place so batched loops can hold direct references.
-
-        Doubles as the adaptive-bypass sampling point: every reset ends
-        one burst, and after the engine's ``fp_sample_bursts`` bursts
-        the Env decides once whether its burst caches earn their keep.
-        """
-        self._fp_pages.clear()
-        self._fp_rlines.clear()
-        self._fp_wlines.clear()
-        if self._fp_adaptive:
-            self._fp_bursts += 1
-            if self._fp_bursts >= self._fp_sample_bursts:
-                self._fp_adaptive = False
-                if self._fp_hits < self._fp_bypass_threshold * self._fp_bursts:
-                    self._fp_bypass()
-
-    def _fp_bypass(self) -> None:
-        """Fall back to the plain one-access-at-a-time paths.
-
-        Cycle-identical by construction (the slow paths are the golden
-        reference the fast paths are pinned against); only the Python
-        wall-clock changes.  A generator currently suspended inside a
-        fast-path method finishes that call on the fast code; every
-        subsequent ``env.read``/``env.write``/... dispatches slow.
-        """
-        self.read = self._read_slow
-        self.write = self._write_slow
-        self.read_block = self._read_block_slow
-        self.write_block = self._write_block_slow
-        self.read_many = self._read_many_slow
-        self.write_many = self._write_many_slow
-
-    @property
-    def fastpath_bypassed(self) -> bool:
-        """Whether the adaptive sampler demoted this Env to slow paths.
-
-        (``read`` may also be a race-detector wrapper function, which has
-        no ``__func__`` — those runs never demote, so report False.)
-        """
-        return (
-            self._rt.fastpath
-            and getattr(self.read, "__func__", None) is Env._read_slow
-        )
-
-    def _fp_load(self, vpn: int):
-        """Resolve ``vpn`` with read privilege; may yield mapping faults.
-
-        Returns and caches the ``(frame data, write-ok, owner)`` entry.
-        """
-        if self._hw_only:
-            data = self._hw_frame(vpn, self._t)
-            entry = (data, True, self._rt.aspace.home_proc(vpn))
-        else:
-            tlb = self._tlb
-            while tlb.lookup(vpn) is None:
-                yield ("fault", vpn, False)
-                self._fp_reset()
-            frame = self._frames[vpn]
-            entry = (frame.data, tlb.has_write(vpn), frame.owner_pid)
-        self._fp_pages[vpn] = entry
-        return entry
-
-    def _fp_load_write(self, vpn: int):
-        """Resolve ``vpn`` with write privilege; may yield mapping faults."""
-        if self._hw_only:
-            data = self._hw_frame(vpn, self._t)
-            entry = (data, True, self._rt.aspace.home_proc(vpn))
-        else:
-            tlb = self._tlb
-            while not tlb.has_write(vpn):
-                yield ("fault", vpn, True)
-                self._fp_reset()
-            frame = self._frames[vpn]
-            entry = (frame.data, True, frame.owner_pid)
-        self._fp_pages[vpn] = entry
-        return entry
-
-    # ------------------------------------------------------------------
-    # memory operations — fast paths
-    # ------------------------------------------------------------------
-
-    def _read_fast(self, addr: int, ptr: bool = False):
+    def _read(self, addr: int, ptr: bool = False):
         """Load one shared word.  Usage: ``v = yield from env.read(a)``."""
         t = self._t
-        cost = self._tp if ptr else self._ta
-        t.time += cost
-        t.user += cost
-        entry = self._fp_pages.get(addr // self._page_size)
-        if entry is None:
-            entry = yield from self._fp_load(addr // self._page_size)
-        line = addr // self._line_size
-        if line in self._fp_wlines or line in self._fp_rlines:
-            self._cache_counts[0] += 1
-            self._fp_hits += 1
-            cost = self._hit_cost
+        costs = self._costs
+        t.charge_user(costs.translate_pointer if ptr else costs.translate_array)
+        vpn = addr // self._page_size
+        if self._hw_only:
+            data = self._hw_frame(vpn, t)
         else:
-            cost = self._cache.access(
-                self.cluster, self.pid, line, False, entry[2]
+            while self._tlb.lookup(vpn) is None:
+                yield ("fault", vpn, False)
+            data = self._frames[vpn].data
+        owner = self._owner_pid(vpn)
+        t.charge_user(
+            self._cache.access(
+                self.cluster, self.pid, addr // self._line_size, False, owner
             )
-            self._fp_rlines.add(line)
-        t.time += cost
-        t.user += cost
+        )
         if t.time - t.last_yield > self._quantum:
             yield ("pause",)
-            self._fp_reset()
-        return float(entry[0][(addr % self._page_size) // WORD_BYTES])
+        return float(data[(addr % self._page_size) // WORD_BYTES])
 
-    def _write_fast(self, addr: int, value: float, ptr: bool = False):
+    def _write(self, addr: int, value: float, ptr: bool = False):
         """Store one shared word.  Usage: ``yield from env.write(a, v)``."""
         t = self._t
-        cost = self._tp if ptr else self._ta
-        t.time += cost
-        t.user += cost
-        entry = self._fp_pages.get(addr // self._page_size)
-        if entry is None or not entry[1]:
-            entry = yield from self._fp_load_write(addr // self._page_size)
-        line = addr // self._line_size
-        if line in self._fp_wlines:
-            self._cache_counts[0] += 1
-            self._fp_hits += 1
-            cost = self._hit_cost
+        costs = self._costs
+        t.charge_user(costs.translate_pointer if ptr else costs.translate_array)
+        vpn = addr // self._page_size
+        if self._hw_only:
+            data = self._hw_frame(vpn, t)
         else:
-            cost = self._cache.access(
-                self.cluster, self.pid, line, True, entry[2]
+            while not self._tlb.has_write(vpn):
+                yield ("fault", vpn, True)
+            data = self._frames[vpn].data
+        owner = self._owner_pid(vpn)
+        t.charge_user(
+            self._cache.access(
+                self.cluster, self.pid, addr // self._line_size, True, owner
             )
-            self._fp_wlines.add(line)
-        t.time += cost
-        t.user += cost
-        entry[0][(addr % self._page_size) // WORD_BYTES] = value
+        )
+        data[(addr % self._page_size) // WORD_BYTES] = value
         if t.time - t.last_yield > self._quantum:
             yield ("pause",)
-            self._fp_reset()
 
-    def _fp_resolve(self, vpn: int):
-        """Resolve ``vpn`` with read privilege iff no fault is needed.
+    # ------------------------------------------------------------------
+    # page resolution for the batched operations
+    # ------------------------------------------------------------------
 
-        The non-suspending sibling of :meth:`_fp_load`: returns and
-        caches the same ``(frame data, write-ok, owner)`` entry when the
-        page is already mapped, or None (caching nothing, charging
-        nothing) when resolution would fault.  The vector path uses it
-        to prove a whole batch fault-free before committing to it;
-        entries it caches are valid for the rest of the burst either
-        way, exactly as if :meth:`_fp_load` had resolved them.
+    def _load_page(self, vpn: int, write: bool, pages: dict, lines: set):
+        """Resolve ``vpn`` (with write privilege iff ``write``); may yield
+        mapping faults.
+
+        Returns the ``(frame data, owner)`` entry and caches it in the
+        calling operation's ``pages``.  A fault suspends the thread, so
+        everything the call learned before it — ``pages`` and ``lines``
+        — is dropped first.
         """
-        if self._tlb.lookup(vpn) is None:
-            return None
         if self._hw_only:
-            entry = (
-                self._protocol.home(vpn).data,
-                True,
-                self._rt.aspace.home_proc(vpn),
-            )
+            entry = (self._hw_frame(vpn, self._t), self._rt.aspace.home_proc(vpn))
         else:
+            tlb = self._tlb
+            while (
+                not tlb.has_write(vpn) if write else tlb.lookup(vpn) is None
+            ):
+                yield ("fault", vpn, write)
+                pages.clear()
+                lines.clear()
             frame = self._frames[vpn]
-            entry = (frame.data, self._tlb.has_write(vpn), frame.owner_pid)
-        self._fp_pages[vpn] = entry
+            entry = (frame.data, frame.owner_pid)
+        pages[vpn] = entry
         return entry
+
+    def _resolve_pages(self, vpns, write: bool):
+        """Resolve every page in ``vpns`` iff none needs a fault.
+
+        The non-suspending sibling of :meth:`_load_page`: returns
+        ``{vpn: (frame data, owner)}`` when every page is already mapped
+        (with write privilege iff ``write``), or None — charging nothing
+        — when any would fault or, at C == P, need the one-time TLB fill
+        charge.  The vector paths use it to prove a whole batch
+        fault-free before committing to it.
+        """
+        tlb = self._tlb
+        pages = {}
+        for vpn in vpns:
+            if tlb.lookup(vpn) is None:
+                return None
+            if self._hw_only:
+                pages[vpn] = (
+                    self._protocol.home(vpn).data,
+                    self._rt.aspace.home_proc(vpn),
+                )
+            elif write and not tlb.has_write(vpn):
+                return None
+            else:
+                frame = self._frames[vpn]
+                pages[vpn] = (frame.data, frame.owner_pid)
+        return pages
+
+    # ------------------------------------------------------------------
+    # memory operations — batched
+    # ------------------------------------------------------------------
 
     def _read_vector(self, addrs, n: int, tcost: int):
         """All-hit aggregate load of ``addrs``; None → caller goes scalar.
 
         Preconditions proved before anything is charged: every page
-        mapped (no faults), every line a guaranteed hit — via the burst
-        caches or one :meth:`CacheSystem.hit_lines` directory probe —
-        and the whole charge of ``n * (translate + hit)`` cycles inside
-        the current quantum (no pause).  Then the per-word loop's exact
-        effect is applied in aggregate: one clock/bucket bump, ``n``
-        recorded hits, burst-hit sampling credit, newly probed lines
-        remembered, and one numpy gather per touched page.
+        mapped (no faults), every line a guaranteed hit — one
+        :meth:`CacheSystem.hit_lines` directory probe — and the whole
+        charge of ``n * (translate + hit)`` cycles inside the current
+        quantum (no pause).  Then the per-word loop's exact effect is
+        applied in aggregate: one clock/bucket bump, ``n`` recorded
+        hits, and one numpy gather per touched page.
         """
         t = self._t
         whit = tcost + self._hit_cost
         if n * whit > t.last_yield + self._quantum - t.time:
             return None
         arr = np.asarray(addrs, dtype=np.int64)
-        pages = self._fp_pages
         vpns = arr // self._page_size
         uvpns = np.unique(vpns).tolist()
-        for vpn in uvpns:
-            if vpn not in pages and self._fp_resolve(vpn) is None:
-                return None
-        lines = arr // self._line_size
-        ulines, ucounts = np.unique(lines, return_counts=True)
-        rlines = self._fp_rlines
-        wlines = self._fp_wlines
-        # Burst-cache hits the per-word loop would have sampled: every
-        # access to an already-known line, plus the repeats of each line
-        # first proven by the directory probe below.
-        burst_hits = 0
-        unknown = []
-        for line, c in zip(ulines.tolist(), ucounts.tolist()):
-            if line in wlines or line in rlines:
-                burst_hits += c
-            else:
-                unknown.append(line)
-                burst_hits += c - 1
-        if unknown and not self._cache.hit_lines(
-            self.cluster, self.pid, unknown, False
-        ):
+        pages = self._resolve_pages(uvpns, False)
+        if pages is None:
             return None
-        rlines.update(unknown)
+        lines = np.unique(arr // self._line_size).tolist()
+        if not self._cache.hit_lines(self.cluster, self.pid, lines, False):
+            return None
         self._cache_counts[0] += n
-        self._fp_hits += burst_hits
         cost = n * whit
         t.time += cost
         t.user += cost
@@ -444,7 +306,7 @@ class Env:
                 out[sel] = pages[vpn][0][widx[sel]]
         return out.tolist()
 
-    def _read_many_fast(self, addrs: Iterable[int], ptr: bool = False):
+    def _read_many(self, addrs: Iterable[int], ptr: bool = False):
         """Load several shared words in one call.
 
         Usage: ``a, b = yield from env.read_many((addr_a, addr_b))``.
@@ -458,15 +320,13 @@ class Env:
         t = self._t
         if not isinstance(addrs, (tuple, list)):
             addrs = tuple(addrs)
+        tcost = self._tp if ptr else self._ta
         if len(addrs) >= _VEC_MIN_ADDRS:
-            out = self._read_vector(
-                addrs, len(addrs), self._tp if ptr else self._ta
-            )
+            out = self._read_vector(addrs, len(addrs), tcost)
             if out is not None:
                 return out
-        pages = self._fp_pages
-        rlines = self._fp_rlines
-        wlines = self._fp_wlines
+        pages = {}
+        lines = set()
         access = self._cache.access
         counts = self._cache_counts
         cluster = self.cluster
@@ -475,7 +335,6 @@ class Env:
         line_size = self._line_size
         quantum = self._quantum
         hit_cost = self._hit_cost
-        tcost = self._tp if ptr else self._ta
         out = []
         append = out.append
         ttime = t.time
@@ -487,25 +346,27 @@ class Env:
             if entry is None:
                 t.time = ttime
                 t.user = tuser
-                entry = yield from self._fp_load(addr // page_size)
+                entry = yield from self._load_page(
+                    addr // page_size, False, pages, lines
+                )
                 ttime = t.time
                 tuser = t.user
             line = addr // line_size
-            if line in wlines or line in rlines:
+            if line in lines:
                 counts[0] += 1
-                self._fp_hits += 1
                 ttime += hit_cost
                 tuser += hit_cost
             else:
-                cost = access(cluster, pid, line, False, entry[2])
-                rlines.add(line)
+                cost = access(cluster, pid, line, False, entry[1])
+                lines.add(line)
                 ttime += cost
                 tuser += cost
             if ttime - t.last_yield > quantum:
                 t.time = ttime
                 t.user = tuser
                 yield ("pause",)
-                self._fp_reset()
+                pages.clear()
+                lines.clear()
                 ttime = t.time
                 tuser = t.user
             append(float(entry[0][(addr % page_size) // WORD_BYTES]))
@@ -513,44 +374,18 @@ class Env:
         t.user = tuser
         return out
 
-    def _fp_resolve_write(self, vpn: int):
-        """Resolve ``vpn`` with *write* privilege iff no fault is needed.
-
-        The non-suspending sibling of :meth:`_fp_load_write`, mirroring
-        what :meth:`_fp_resolve` is to :meth:`_fp_load`: returns and
-        caches the ``(frame data, True, owner)`` entry when the page is
-        already write-mapped, or None (caching nothing, charging
-        nothing) when a write fault — or, at C == P, the one-time TLB
-        fill charge — would be required.
-        """
-        if self._tlb.lookup(vpn) is None:
-            return None
-        if self._hw_only:
-            entry = (
-                self._protocol.home(vpn).data,
-                True,
-                self._rt.aspace.home_proc(vpn),
-            )
-        else:
-            if not self._tlb.has_write(vpn):
-                return None
-            frame = self._frames[vpn]
-            entry = (frame.data, True, frame.owner_pid)
-        self._fp_pages[vpn] = entry
-        return entry
-
     def _write_vector(self, addrs, values, n: int, tcost: int):
         """All-hit aggregate scatter of ``values`` to ``addrs``; None →
         caller goes scalar.
 
         The write twin of :meth:`_read_vector`: every page proved
         write-resolved (no faults), every line a guaranteed *write* hit
-        — already in the burst write-set, or owner == pid via one
-        ``hit_lines(..., is_write=True)`` probe — and the whole
-        ``n * (translate + hit)`` charge inside the quantum.  Then one
-        clock bump, ``n`` recorded hits, and one numpy fancy-indexed
-        scatter per touched page.  Duplicate target addresses bail to
-        the per-word loop, whose last-store-wins order is explicit.
+        — owner == pid via one ``hit_lines(..., is_write=True)`` probe —
+        and the whole ``n * (translate + hit)`` charge inside the
+        quantum.  Then one clock bump, ``n`` recorded hits, and one
+        numpy fancy-indexed scatter per touched page.  Duplicate target
+        addresses bail to the per-word loop, whose last-store-wins order
+        is explicit.
         """
         t = self._t
         whit = tcost + self._hit_cost
@@ -559,27 +394,15 @@ class Env:
         arr = np.asarray(addrs, dtype=np.int64)
         if len(np.unique(arr)) != n:
             return None
-        pages = self._fp_pages
         vpns = arr // self._page_size
         uvpns = np.unique(vpns).tolist()
-        for vpn in uvpns:
-            entry = pages.get(vpn)
-            if (entry is None or not entry[1]) and self._fp_resolve_write(
-                vpn
-            ) is None:
-                return None
-        lines = arr // self._line_size
-        wlines = self._fp_wlines
-        unknown = [
-            line for line in np.unique(lines).tolist() if line not in wlines
-        ]
-        if unknown and not self._cache.hit_lines(
-            self.cluster, self.pid, unknown, True
-        ):
+        pages = self._resolve_pages(uvpns, True)
+        if pages is None:
             return None
-        wlines.update(unknown)
+        lines = np.unique(arr // self._line_size).tolist()
+        if not self._cache.hit_lines(self.cluster, self.pid, lines, True):
+            return None
         self._cache_counts[0] += n
-        self._fp_hits += n
         cost = n * whit
         t.time += cost
         t.user += cost
@@ -593,7 +416,7 @@ class Env:
                 pages[vpn][0][widx[sel]] = vals[sel]
         return True
 
-    def _write_many_fast(
+    def _write_many(
         self, addrs: Iterable[int], values: Sequence[float], ptr: bool = False
     ):
         """Store several shared words in one call.
@@ -605,18 +428,22 @@ class Env:
         Batches long enough to amortize the setup first try the all-hit
         vector path (:meth:`_write_vector`); anything it cannot prove
         conflict-free falls through to the per-word loop untouched.
+        Raises ValueError, before anything is charged, when ``addrs``
+        and ``values`` differ in length.
         """
         t = self._t
         if not isinstance(addrs, (tuple, list)):
             addrs = tuple(addrs)
-        if len(addrs) >= _VEC_MIN_ADDRS:
-            done = self._write_vector(
-                addrs, values, len(addrs), self._tp if ptr else self._ta
+        if len(values) != len(addrs):
+            raise ValueError(
+                f"write_many: {len(addrs)} addresses but {len(values)} values"
             )
-            if done is not None:
+        tcost = self._tp if ptr else self._ta
+        if len(addrs) >= _VEC_MIN_ADDRS:
+            if self._write_vector(addrs, values, len(addrs), tcost):
                 return
-        pages = self._fp_pages
-        wlines = self._fp_wlines
+        pages = {}
+        lines = set()
         access = self._cache.access
         counts = self._cache_counts
         cluster = self.cluster
@@ -625,28 +452,28 @@ class Env:
         line_size = self._line_size
         quantum = self._quantum
         hit_cost = self._hit_cost
-        tcost = self._tp if ptr else self._ta
         ttime = t.time
         tuser = t.user
         for addr, value in zip(addrs, values):
             ttime += tcost
             tuser += tcost
             entry = pages.get(addr // page_size)
-            if entry is None or not entry[1]:
+            if entry is None:
                 t.time = ttime
                 t.user = tuser
-                entry = yield from self._fp_load_write(addr // page_size)
+                entry = yield from self._load_page(
+                    addr // page_size, True, pages, lines
+                )
                 ttime = t.time
                 tuser = t.user
             line = addr // line_size
-            if line in wlines:
+            if line in lines:
                 counts[0] += 1
-                self._fp_hits += 1
                 ttime += hit_cost
                 tuser += hit_cost
             else:
-                cost = access(cluster, pid, line, True, entry[2])
-                wlines.add(line)
+                cost = access(cluster, pid, line, True, entry[1])
+                lines.add(line)
                 ttime += cost
                 tuser += cost
             # Stores land before a pause, as env.write does.
@@ -655,13 +482,14 @@ class Env:
                 t.time = ttime
                 t.user = tuser
                 yield ("pause",)
-                self._fp_reset()
+                pages.clear()
+                lines.clear()
                 ttime = t.time
                 tuser = t.user
         t.time = ttime
         t.user = tuser
 
-    def _read_block_fast(self, addr: int, nwords: int, ptr: bool = False):
+    def _read_block(self, addr: int, nwords: int, ptr: bool = False):
         """Load ``nwords`` consecutive shared words starting at ``addr``.
 
         Usage: ``row = yield from env.read_block(a.addr(i), n)``.
@@ -671,9 +499,8 @@ class Env:
         charge, one slice off the frame — instead of per-word work.
         """
         t = self._t
-        pages = self._fp_pages
-        rlines = self._fp_rlines
-        wlines = self._fp_wlines
+        pages = {}
+        lines = set()
         access = self._cache.access
         access_run = self._cache.access_run
         hit_run = self._cache.hit_run
@@ -709,33 +536,32 @@ class Env:
                 tuser += tcost
                 t.time = ttime
                 t.user = tuser
-                entry = yield from self._fp_load(vpn)
+                entry = yield from self._load_page(vpn, False, pages, lines)
                 ttime = t.time
                 tuser = t.user
                 data = entry[0]
                 line = addr // line_size
-                if line in wlines or line in rlines:
+                if line in lines:
                     counts[0] += 1
-                    self._fp_hits += 1
                     ttime += hit_cost
                     tuser += hit_cost
                 else:
-                    cost = access(cluster, pid, line, False, entry[2])
-                    rlines.add(line)
+                    cost = access(cluster, pid, line, False, entry[1])
+                    lines.add(line)
                     ttime += cost
                     tuser += cost
                 if ttime - t.last_yield > quantum:
                     t.time = ttime
                     t.user = tuser
                     yield ("pause",)
-                    self._fp_reset()
+                    pages.clear()
+                    lines.clear()
                     ttime = t.time
                     tuser = t.user
                 append(float(data[(addr % page_size) // WORD_BYTES]))
                 addr += WORD_BYTES
                 continue
-            data = entry[0]
-            owner = entry[2]
+            data, owner = entry
             page_end = (vpn + 1) * page_size
             chunk_end = page_end if page_end < end else end
             while addr < chunk_end:
@@ -781,9 +607,8 @@ class Env:
                         if run_end > chunk_end:
                             run_end = chunk_end
                         m = (run_end - addr) // WORD_BYTES
-                        rlines.update(range(line, line + k))
+                        lines.update(range(line, line + k))
                         counts[0] += m - k
-                        self._fp_hits += m - k
                         ttime += charge
                         tuser += charge
                         w0 = (addr % page_size) // WORD_BYTES
@@ -793,14 +618,15 @@ class Env:
                     # Batch would cross the quantum before its first
                     # line: classify, charge, move one word.
                     cost = access(cluster, pid, line, False, owner)
-                    rlines.add(line)
+                    lines.add(line)
                     ttime += tcost + cost
                     tuser += tcost + cost
                     if ttime - t.last_yield > quantum:
                         t.time = ttime
                         t.user = tuser
                         yield ("pause",)
-                        self._fp_reset()
+                        pages.clear()
+                        lines.clear()
                         ttime = t.time
                         tuser = t.user
                         append(float(data[(addr % page_size) // WORD_BYTES]))
@@ -825,7 +651,6 @@ class Env:
                 ttime += cost
                 tuser += cost
                 counts[0] += m
-                self._fp_hits += m
                 w0 = (addr % page_size) // WORD_BYTES
                 addr += m * WORD_BYTES
                 if paused:
@@ -833,7 +658,8 @@ class Env:
                     t.time = ttime
                     t.user = tuser
                     yield ("pause",)
-                    self._fp_reset()
+                    pages.clear()
+                    lines.clear()
                     ttime = t.time
                     tuser = t.user
                     append(float(data[w0 + m - 1]))
@@ -860,28 +686,21 @@ class Env:
         if n * whit > t.last_yield + self._quantum - t.time:
             return None
         page_size = self._page_size
-        pages = self._fp_pages
         last_addr = addr + (n - 1) * WORD_BYTES
-        for vpn in range(addr // page_size, last_addr // page_size + 1):
-            entry = pages.get(vpn)
-            if (entry is None or not entry[1]) and self._fp_resolve_write(
-                vpn
-            ) is None:
-                return None
+        pages = self._resolve_pages(
+            range(addr // page_size, last_addr // page_size + 1), True
+        )
+        if pages is None:
+            return None
         line_size = self._line_size
-        wlines = self._fp_wlines
-        unknown = [
-            line
-            for line in range(addr // line_size, last_addr // line_size + 1)
-            if line not in wlines
-        ]
-        if unknown and not self._cache.hit_lines(
-            self.cluster, self.pid, unknown, True
+        if not self._cache.hit_lines(
+            self.cluster,
+            self.pid,
+            range(addr // line_size, last_addr // line_size + 1),
+            True,
         ):
             return None
-        wlines.update(unknown)
         self._cache_counts[0] += n
-        self._fp_hits += n
         cost = n * whit
         t.time += cost
         t.user += cost
@@ -898,7 +717,7 @@ class Env:
             addr = chunk_end
         return True
 
-    def _write_block_fast(
+    def _write_block(
         self, addr: int, values: Sequence[float], ptr: bool = False
     ):
         """Store consecutive shared words starting at ``addr``.
@@ -910,15 +729,13 @@ class Env:
         (:meth:`_write_block_vector`) for blocks it can prove
         conflict-free in one probe.
         """
+        tcost = self._tp if ptr else self._ta
         if len(values) >= _VEC_MIN_ADDRS:
-            done = self._write_block_vector(
-                addr, values, len(values), self._tp if ptr else self._ta
-            )
-            if done is not None:
+            if self._write_block_vector(addr, values, len(values), tcost):
                 return
         t = self._t
-        pages = self._fp_pages
-        wlines = self._fp_wlines
+        pages = {}
+        lines = set()
         access = self._cache.access
         access_run = self._cache.access_run
         hit_run = self._cache.hit_run
@@ -929,7 +746,6 @@ class Env:
         line_size = self._line_size
         quantum = self._quantum
         hit_cost = self._hit_cost
-        tcost = self._tp if ptr else self._ta
         whit = tcost + hit_cost
         batch_floor = self._cache.worst_hw_miss + tcost + (
             line_size // WORD_BYTES - 1
@@ -941,24 +757,23 @@ class Env:
         while addr < end:
             vpn = addr // page_size
             entry = pages.get(vpn)
-            if entry is None or not entry[1]:
+            if entry is None:
                 ttime += tcost
                 tuser += tcost
                 t.time = ttime
                 t.user = tuser
-                entry = yield from self._fp_load_write(vpn)
+                entry = yield from self._load_page(vpn, True, pages, lines)
                 ttime = t.time
                 tuser = t.user
                 data = entry[0]
                 line = addr // line_size
-                if line in wlines:
+                if line in lines:
                     counts[0] += 1
-                    self._fp_hits += 1
                     ttime += hit_cost
                     tuser += hit_cost
                 else:
-                    cost = access(cluster, pid, line, True, entry[2])
-                    wlines.add(line)
+                    cost = access(cluster, pid, line, True, entry[1])
+                    lines.add(line)
                     ttime += cost
                     tuser += cost
                 data[(addr % page_size) // WORD_BYTES] = values[vi]
@@ -968,28 +783,28 @@ class Env:
                     t.time = ttime
                     t.user = tuser
                     yield ("pause",)
-                    self._fp_reset()
+                    pages.clear()
+                    lines.clear()
                     ttime = t.time
                     tuser = t.user
                 continue
-            data = entry[0]
-            owner = entry[2]
+            data, owner = entry
             page_end = (vpn + 1) * page_size
             chunk_end = page_end if page_end < end else end
             while addr < chunk_end:
                 line = addr // line_size
                 max_lines = (chunk_end - 1) // line_size - line + 1
                 budget = t.last_yield + quantum - ttime
-                # Budget-capped probe, as in _read_block_fast.
+                # Budget-capped probe, as in _read_block.
                 m = budget // whit + 1
                 cap = (addr + m * WORD_BYTES - 1) // line_size - line + 1
                 if cap > max_lines:
                     cap = max_lines
                 nhit = hit_run(cluster, pid, line, cap, True)
                 if nhit == 0:
-                    # Batched miss run, as in _read_block_fast: stores
-                    # land in aggregate, and the budget cap proves no
-                    # pause falls inside the batch.
+                    # Batched miss run, as in _read_block: stores land
+                    # in aggregate, and the budget cap proves no pause
+                    # falls inside the batch.
                     k = 0
                     if budget > batch_floor:
                         extras = []
@@ -1014,9 +829,8 @@ class Env:
                         if run_end > chunk_end:
                             run_end = chunk_end
                         m = (run_end - addr) // WORD_BYTES
-                        wlines.update(range(line, line + k))
+                        lines.update(range(line, line + k))
                         counts[0] += m - k
-                        self._fp_hits += m - k
                         ttime += charge
                         tuser += charge
                         w0 = (addr % page_size) // WORD_BYTES
@@ -1025,7 +839,7 @@ class Env:
                         addr = run_end
                         continue
                     cost = access(cluster, pid, line, True, owner)
-                    wlines.add(line)
+                    lines.add(line)
                     ttime += tcost + cost
                     tuser += tcost + cost
                     data[(addr % page_size) // WORD_BYTES] = values[vi]
@@ -1035,7 +849,8 @@ class Env:
                         t.time = ttime
                         t.user = tuser
                         yield ("pause",)
-                        self._fp_reset()
+                        pages.clear()
+                        lines.clear()
                         ttime = t.time
                         tuser = t.user
                         break  # page/directory knowledge is stale
@@ -1053,7 +868,6 @@ class Env:
                 ttime += cost
                 tuser += cost
                 counts[0] += m
-                self._fp_hits += m
                 w0 = (addr % page_size) // WORD_BYTES
                 # Stores land before a pause, as the per-word path does.
                 data[w0 : w0 + m] = values[vi : vi + m]
@@ -1063,86 +877,13 @@ class Env:
                     t.time = ttime
                     t.user = tuser
                     yield ("pause",)
-                    self._fp_reset()
+                    pages.clear()
+                    lines.clear()
                     ttime = t.time
                     tuser = t.user
                     break  # page/directory knowledge is stale
         t.time = ttime
         t.user = tuser
-
-    # ------------------------------------------------------------------
-    # memory operations — slow paths (REPRO_NO_FASTPATH=1)
-    # ------------------------------------------------------------------
-
-    def _read_slow(self, addr: int, ptr: bool = False):
-        """Load one shared word (original one-access-at-a-time path)."""
-        t = self._t
-        costs = self._costs
-        t.charge_user(costs.translate_pointer if ptr else costs.translate_array)
-        vpn = addr // self._page_size
-        if self._hw_only:
-            data = self._hw_frame(vpn, t)
-        else:
-            while self._tlb.lookup(vpn) is None:
-                yield ("fault", vpn, False)
-            data = self._frames[vpn].data
-        owner = self._owner_pid(vpn)
-        t.charge_user(
-            self._cache.access(
-                self.cluster, self.pid, addr // self._line_size, False, owner
-            )
-        )
-        if t.time - t.last_yield > self._quantum:
-            yield ("pause",)
-        return float(data[(addr % self._page_size) // WORD_BYTES])
-
-    def _write_slow(self, addr: int, value: float, ptr: bool = False):
-        """Store one shared word (original one-access-at-a-time path)."""
-        t = self._t
-        costs = self._costs
-        t.charge_user(costs.translate_pointer if ptr else costs.translate_array)
-        vpn = addr // self._page_size
-        if self._hw_only:
-            data = self._hw_frame(vpn, t)
-        else:
-            while not self._tlb.has_write(vpn):
-                yield ("fault", vpn, True)
-            data = self._frames[vpn].data
-        owner = self._owner_pid(vpn)
-        t.charge_user(
-            self._cache.access(
-                self.cluster, self.pid, addr // self._line_size, True, owner
-            )
-        )
-        data[(addr % self._page_size) // WORD_BYTES] = value
-        if t.time - t.last_yield > self._quantum:
-            yield ("pause",)
-
-    def _read_many_slow(self, addrs: Iterable[int], ptr: bool = False):
-        out = []
-        for addr in addrs:
-            value = yield from self._read_slow(addr, ptr)
-            out.append(value)
-        return out
-
-    def _write_many_slow(
-        self, addrs: Iterable[int], values: Sequence[float], ptr: bool = False
-    ):
-        for addr, value in zip(addrs, values):
-            yield from self._write_slow(addr, value, ptr)
-
-    def _read_block_slow(self, addr: int, nwords: int, ptr: bool = False):
-        return (
-            yield from self._read_many_slow(
-                range(addr, addr + nwords * WORD_BYTES, WORD_BYTES), ptr
-            )
-        )
-
-    def _write_block_slow(
-        self, addr: int, values: Sequence[float], ptr: bool = False
-    ):
-        for i, value in enumerate(values):
-            yield from self._write_slow(addr + i * WORD_BYTES, value, ptr)
 
     # ------------------------------------------------------------------
     # computation
@@ -1155,7 +896,6 @@ class Env:
         t.user += cycles
         if t.time - t.last_yield > self._quantum:
             yield ("pause",)
-            self._fp_reset()
 
     # ------------------------------------------------------------------
     # synchronization
@@ -1165,19 +905,16 @@ class Env:
         """Acquire an MGS lock (an acquire point; no protocol action
         needed because MGS invalidates eagerly at releases)."""
         yield ("lock", lk)
-        self._fp_reset()
 
     def unlock(self, lk: "MGSLock"):
         """Release an MGS lock.  This is a release point: the DUQ is
         flushed *before* the lock is freed — the source of the paper's
         critical-section dilation."""
         yield ("unlock", lk)
-        self._fp_reset()
 
     def barrier(self):
         """Wait on the global barrier (also a release point)."""
         yield ("barrier",)
-        self._fp_reset()
 
     # ------------------------------------------------------------------
     # helpers
@@ -1201,8 +938,3 @@ class Env:
     def now(self) -> int:
         """The thread's local clock (cycles)."""
         return self._t.time
-
-    @property
-    def fastpath(self) -> bool:
-        """Whether this Env uses the hot-path access engine."""
-        return self._rt.fastpath

@@ -36,10 +36,9 @@ no future event can be scheduled before the earliest thread clock.
 Replay is automatically disabled when fault injection or the reliable
 transport is active (their behavior depends on absolute counters the
 digest cannot translate) and when the analysis checkers are attached
-(they observe the messages replay elides).  ``REPRO_NO_REPLAY=1`` — the
-escape hatch mirroring ``REPRO_NO_FASTPATH`` — turns it off everywhere;
-``tests/test_replay.py`` pins replay-on against replay-off bit-for-bit
-for every registered engine.
+(they observe the messages replay elides).  ``REPRO_NO_REPLAY=1`` turns
+it off everywhere; ``tests/test_replay.py`` pins replay-on against
+replay-off bit-for-bit for every registered engine.
 
 Records optionally **persist across processes**: when a replay store is
 attached (:func:`repro.bench.cache.resolve_replay_store`, enabled via

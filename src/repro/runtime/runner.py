@@ -15,7 +15,6 @@ Typical use (what every app in :mod:`repro.apps` does):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,24 +33,8 @@ from repro.sync import LockStats, MGSLock, TreeBarrier
 __all__ = [
     "Runtime",
     "RunResult",
-    "fastpath_enabled_default",
     "replay_enabled_default",
 ]
-
-
-def fastpath_enabled_default() -> bool:
-    """Whether new runtimes use the hot-path access engine.
-
-    On by default; set ``REPRO_NO_FASTPATH=1`` (or ``true``/``yes``) to
-    fall back to the original one-access-at-a-time code paths.  Both are
-    bit-for-bit identical (pinned by ``tests/test_golden_equivalence.py``);
-    the escape hatch exists for debugging and for the perf-smoke harness.
-    """
-    return os.environ.get("REPRO_NO_FASTPATH", "").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-    )
 
 
 @dataclass
@@ -115,7 +98,6 @@ class Runtime:
         config: MachineConfig,
         costs: CostModel | None = None,
         quantum: int = 1500,
-        fastpath: bool | None = None,
         analysis=None,
         replay: bool | None = None,
         replay_store=None,
@@ -123,9 +105,6 @@ class Runtime:
         self.config = config
         self.costs = costs if costs is not None else CostModel()
         self.quantum = quantum
-        self.fastpath = (
-            fastpath_enabled_default() if fastpath is None else bool(fastpath)
-        )
         self.replay = (
             replay_enabled_default() if replay is None else bool(replay)
         )

@@ -93,3 +93,62 @@ def test_paper_table4_has_all_apps():
     from repro.apps import ALL_APPS, SYNTHETIC_APPS
 
     assert set(PAPER_TABLE4) == set(ALL_APPS) - SYNTHETIC_APPS
+
+
+def _smoke_report(jacobi_time=8905975, events_per_sec=27468):
+    from repro.bench.perfsmoke import SCHEMA
+
+    return {
+        "schema": SCHEMA,
+        "quick": False,
+        "benchmarks": {
+            "jacobi_fast": {
+                "total_time": jacobi_time,
+                "events": 44012,
+                "events_per_sec": events_per_sec,
+            }
+        },
+    }
+
+
+def test_perfsmoke_check_passes_an_identical_run():
+    from repro.bench.perfsmoke import check_against_baseline
+
+    assert check_against_baseline(_smoke_report(), _smoke_report()) == []
+
+
+def test_perfsmoke_check_flags_a_changed_simulated_run():
+    from repro.bench.perfsmoke import check_against_baseline
+
+    failures = check_against_baseline(
+        _smoke_report(jacobi_time=8905976), _smoke_report()
+    )
+    assert len(failures) == 1
+    assert failures[0].startswith("jacobi_fast.total_time changed")
+
+
+def test_perfsmoke_check_flags_a_throughput_regression():
+    from repro.bench.perfsmoke import check_against_baseline
+
+    failures = check_against_baseline(
+        _smoke_report(events_per_sec=10000), _smoke_report()
+    )
+    assert len(failures) == 1
+    assert failures[0].startswith("jacobi_fast.events_per_sec regressed")
+
+
+def test_committed_perfsmoke_baseline_has_every_checked_field():
+    import json
+    from pathlib import Path
+
+    from repro.bench.perfsmoke import DETERMINISTIC, GATES, SCHEMA
+
+    path = Path(__file__).resolve().parent.parent / "BENCH_perfsmoke.json"
+    baseline = json.loads(path.read_text())
+    assert baseline["schema"] == SCHEMA
+    benches = baseline["benchmarks"]
+    for bench, (metric, _) in GATES.items():
+        assert metric in benches[bench], bench
+    for bench, keys in DETERMINISTIC.items():
+        for key in keys:
+            assert key in benches[bench], (bench, key)

@@ -1,24 +1,26 @@
-"""The fast-path access engine is invisible except for wall-clock.
+"""``Env``'s batched memory operations are invisible except for wall-clock.
 
-``Env`` binds ``read``/``write``/``read_block``/``write_block``/
-``read_many``/``write_many`` to either the fast or the slow
-implementations depending on ``Runtime.fastpath``.  These tests pin the
-contract:
+``read_block``/``write_block``/``read_many``/``write_many`` resolve a
+whole run of accesses in one call.  These tests pin the contract:
 
-* the batched block/many APIs charge exactly the same cycles as the
+* the batched operations charge exactly the same cycles as the
   equivalent loop of single-word accesses (same thread clocks, same
-  cache and protocol stats, same simulator event count);
-* fast and slow paths are bit-for-bit identical, including across
+  cache and protocol stats, same simulator event count), whether the
+  program spells the loop out or the operations are swapped for their
+  word-loop references (:mod:`tests.word_loops`) — including across
   faults and quantum pauses that land mid-block;
+* ``write_many`` rejects mismatched lengths before charging anything;
 * the quantum boundary is strict (> quantum pauses, == quantum does
-  not) in both modes;
-* ``REPRO_NO_FASTPATH`` disables the fast paths.
+  not).
 """
+
+import types
 
 import pytest
 
 from repro.params import WORD_BYTES, MachineConfig
-from repro.runtime import Runtime, fastpath_enabled_default
+from repro.runtime import Runtime
+from tests.word_loops import word_loops
 
 
 def _config(total=4, cluster=2):
@@ -40,31 +42,40 @@ def _state(rt, result):
     }
 
 
-def _run(worker_factory, *, fastpath, quantum=1500, total=4, cluster=2):
-    """Run one workload; returns (state, values captured by the workers)."""
-    rt = Runtime(_config(total, cluster), quantum=quantum, fastpath=fastpath)
-    nwords = 64 * total
-    arr = rt.array("data", nwords)
-    arr.init([float(i) * 0.5 for i in range(nwords)])
-    captured = []
-    rt.spawn_all(worker_factory(arr, nwords, captured))
-    result = rt.run()
+def _run(worker_factory, *, reference=False, quantum=1500, total=4, cluster=2):
+    """Run one workload; returns (state, values captured by the workers).
+
+    ``reference`` swaps the batched operations for their word loops.
+    """
+    with word_loops(reference):
+        rt = Runtime(_config(total, cluster), quantum=quantum)
+        nwords = 64 * total
+        arr = rt.array("data", nwords)
+        arr.init([float(i) * 0.5 for i in range(nwords)])
+        captured = []
+        rt.spawn_all(worker_factory(arr, nwords, captured))
+        result = rt.run()
     return _state(rt, result), captured
 
 
 def _assert_equivalent(worker_a, worker_b, quantum=1500, total=4, cluster=2):
-    """workers a and b must produce identical machines in all four modes."""
+    """workers a and b must produce identical machines, with the batched
+    operations and with their word-loop references."""
     states = {}
     values = {}
     for name, factory in (("a", worker_a), ("b", worker_b)):
-        for fast in (True, False):
-            states[name, fast], values[name, fast] = _run(
-                factory, fastpath=fast, quantum=quantum, total=total, cluster=cluster
+        for reference in (False, True):
+            states[name, reference], values[name, reference] = _run(
+                factory,
+                reference=reference,
+                quantum=quantum,
+                total=total,
+                cluster=cluster,
             )
-    baseline = states["a", True]
-    base_values = values["a", True]
+    baseline = states["a", False]
+    base_values = values["a", False]
     for key, state in states.items():
-        assert state == baseline, f"{key} diverged from (a, fastpath)"
+        assert state == baseline, f"{key} diverged from (a, batched)"
         assert values[key] == base_values, f"{key} read different data"
 
 
@@ -106,12 +117,20 @@ def _reader_loop(arr, nwords, captured):
 
 def test_read_block_equals_read_loop():
     _assert_equivalent(_reader_block, _reader_loop)
+    # C == P: the hardware-only configuration's home-copy path
+    _assert_equivalent(_reader_block, _reader_loop, cluster=4)
 
 
 def test_read_block_equals_read_loop_with_tiny_quantum():
     # quantum 97 forces pauses inside nearly every block, exercising the
     # mid-run re-resolve path and the pause-then-append ordering.
     _assert_equivalent(_reader_block, _reader_loop, quantum=97)
+
+
+#: words in a warm repeat: its all-hit charge (16 x 20 cycles) fits a
+#: fresh 1500-cycle quantum, so the vector paths take it, and overruns a
+#: 97-cycle one, so they must bail to the word loop
+_WARM = 16
 
 
 def _many_strided(arr, nwords, captured):
@@ -121,6 +140,10 @@ def _many_strided(arr, nwords, captured):
             arr.addr((env.pid * per + 7 * k) % nwords) for k in range(per)
         )
         vals = yield from env.read_many(addrs)
+        captured.append(vals)
+        # a fresh quantum, then a warm (all-hit) repeat
+        yield from env.compute(1501)
+        vals = yield from env.read_many(addrs[:_WARM])
         captured.append(vals)
         yield from env.barrier()
 
@@ -135,6 +158,12 @@ def _many_as_loop(arr, nwords, captured):
         )
         vals = []
         for a in addrs:
+            v = yield from env.read(a)
+            vals.append(v)
+        captured.append(vals)
+        yield from env.compute(1501)
+        vals = []
+        for a in addrs[:_WARM]:
             v = yield from env.read(a)
             vals.append(v)
         captured.append(vals)
@@ -153,7 +182,10 @@ def _writer_block(arr, nwords, captured):
         per = nwords // env.nprocs
         base = arr.addr(env.pid * per)
         values = [float(env.pid * 1000 + w) for w in range(per)]
-        yield from env.write_block(base, values)
+        yield from env.write_block(base, [-1.0] * per)
+        yield from env.compute(1501)
+        yield from env.write_block(base, values[:_WARM])
+        yield from env.write_block(base + _WARM * WORD_BYTES, values[_WARM:])
         yield from env.barrier()
         # read back a neighbour's stripe so the stores are observable
         victim = (env.pid + 1) % env.nprocs
@@ -168,6 +200,9 @@ def _writer_loop(arr, nwords, captured):
     def worker(env):
         per = nwords // env.nprocs
         base = arr.addr(env.pid * per)
+        for w in range(per):
+            yield from env.write(base + w * WORD_BYTES, -1.0)
+        yield from env.compute(1501)
         for w in range(per):
             yield from env.write(base + w * WORD_BYTES, float(env.pid * 1000 + w))
         yield from env.barrier()
@@ -184,6 +219,7 @@ def _writer_loop(arr, nwords, captured):
 
 def test_write_block_equals_write_loop():
     _assert_equivalent(_writer_block, _writer_loop)
+    _assert_equivalent(_writer_block, _writer_loop, cluster=4)
     _assert_equivalent(_writer_block, _writer_loop, quantum=97)
 
 
@@ -215,6 +251,11 @@ def _writer_many(arr, nwords, captured):
             tuple(arr.addr(w) for w in own),
             [float(env.pid * 1000 + i) for i in range(len(own))],
         )
+        yield from env.compute(1501)
+        yield from env.write_many(
+            tuple(arr.addr(w) for w in own[:_WARM]),
+            [float(env.pid * 2000 + i) for i in range(_WARM)],
+        )
         yield from env.barrier()
         yield from env.write_many(
             tuple(arr.addr(w) for w in cross),
@@ -232,6 +273,9 @@ def _writer_many_loop(arr, nwords, captured):
         own, cross = _scatter_plan(env, nwords)
         for i, w in enumerate(own):
             yield from env.write(arr.addr(w), float(env.pid * 1000 + i))
+        yield from env.compute(1501)
+        for i, w in enumerate(own[:_WARM]):
+            yield from env.write(arr.addr(w), float(env.pid * 2000 + i))
         yield from env.barrier()
         for i, w in enumerate(cross):
             yield from env.write(arr.addr(w), float(env.pid * 77 + i))
@@ -244,6 +288,7 @@ def _writer_many_loop(arr, nwords, captured):
 
 def test_write_many_equals_write_loop():
     _assert_equivalent(_writer_many, _writer_many_loop)
+    _assert_equivalent(_writer_many, _writer_many_loop, cluster=4)
 
 
 def test_write_many_equals_write_loop_with_tiny_quantum():
@@ -295,8 +340,22 @@ def test_write_many_duplicate_addresses_are_last_wins():
     _assert_equivalent(_writer_many_dup, _writer_many_dup_loop, quantum=97)
 
 
+def test_word_loops_bind_every_batched_operation():
+    # the reference comparisons above are only meaningful if the swap
+    # reaches the Envs that actually run
+    def idle(env):
+        yield from env.compute(0)
+
+    with word_loops():
+        rt = Runtime(_config())
+        rt.spawn_all(idle)
+    for env in rt.envs:
+        for op in ("read_block", "write_block", "read_many", "write_many"):
+            assert getattr(env, op).__func__.__module__ == "tests.word_loops"
+
+
 def test_written_values_are_the_values_read_back():
-    _, captured = _run(_writer_block, fastpath=True)
+    _, captured = _run(_writer_block)
     per = (64 * 4) // 4
     assert sorted(pid for pid, _ in captured) == [0, 1, 2, 3]
     for pid, got in captured:
@@ -304,17 +363,79 @@ def test_written_values_are_the_values_read_back():
         assert got == [float(victim * 1000 + w) for w in range(per)]
 
 
+def _contended(arr, nwords, captured):
+    """Every worker runs every batched operation over one shared region,
+    so lines change hands while a batch is paused and a batch must
+    forget what it learned before each pause."""
+
+    def worker(env):
+        region = tuple(arr.addr(w) for w in range(48))
+        for k in range(4):
+            vals = yield from env.read_many(region)
+            yield from env.write_many(region[:16], [v + env.pid for v in vals[:16]])
+            row = yield from env.read_block(region[0], 48)
+            yield from env.write_block(region[8 * env.pid], row[k : k + 16])
+            captured.append((env.pid, k, row))
+        yield from env.barrier()
+
+    return worker
+
+
+@pytest.mark.parametrize("quantum", [1500, 97])
+def test_contended_batches_equal_word_loops(quantum):
+    _assert_equivalent(_contended, _contended, quantum=quantum)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_write_many_rejects_length_mismatch_before_charging(warm):
+    # 12 addresses, 10 values.  Cold, the batch would fault and take the
+    # per-word loop; warm (every line already owned), it would take the
+    # all-hit vector path.  Either way nothing may be charged or stored.
+    rt = Runtime(_config(total=2, cluster=1))
+    arr = rt.array("data", 64, home=0)
+    arr.init([float(i) for i in range(64)])
+    addrs = tuple(arr.addr(i) for i in range(12))
+    seen = []
+
+    def worker(env):
+        if env.pid != 0:
+            return
+        if warm:
+            yield from env.write_block(arr.addr(0), [-1.0] * 12)
+        before = (env.now, dict(rt.cache.stats))
+        try:
+            yield from env.write_many(addrs, [7.0] * 10)
+        except ValueError as exc:
+            seen.append((before, (env.now, dict(rt.cache.stats)), str(exc)))
+        yield from env.compute(0)
+
+    rt.spawn_all(worker)
+    rt.run()
+    assert len(seen) == 1
+    before, after, message = seen[0]
+    assert after == before
+    assert "12 addresses" in message and "10 values" in message
+    data = arr.snapshot()[:12].tolist()
+    assert data == ([-1.0] * 12 if warm else [float(i) for i in range(12)])
+
+
 # ---------------------------------------------------------------------------
 # quantum boundary
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_compute_exactly_one_quantum_does_not_pause(fastpath):
+@pytest.mark.parametrize("races", [False, True])
+def test_compute_exactly_one_quantum_does_not_pause(races):
+    # The race detector rebinds the Env operations per instance; the
+    # quantum boundary must hold with and without it.
     q = 1500
 
     def events_for(cycles):
-        rt = Runtime(_config(total=1, cluster=1), quantum=q, fastpath=fastpath)
+        rt = Runtime(
+            _config(total=1, cluster=1),
+            quantum=q,
+            analysis="races" if races else None,
+        )
 
         def worker(env):
             yield from env.compute(cycles)
@@ -330,12 +451,16 @@ def test_compute_exactly_one_quantum_does_not_pause(fastpath):
     assert events_for(q + 1) == at_quantum + 1
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_pause_resets_the_quantum_budget(fastpath):
+@pytest.mark.parametrize("races", [False, True])
+def test_pause_resets_the_quantum_budget(races):
     q = 100
 
     def events_for(chunks):
-        rt = Runtime(_config(total=1, cluster=1), quantum=q, fastpath=fastpath)
+        rt = Runtime(
+            _config(total=1, cluster=1),
+            quantum=q,
+            analysis="races" if races else None,
+        )
 
         def worker(env):
             for _ in range(chunks):
@@ -350,152 +475,42 @@ def test_pause_resets_the_quantum_budget(fastpath):
 
 
 # ---------------------------------------------------------------------------
-# the REPRO_NO_FASTPATH escape hatch
+# race detection
 # ---------------------------------------------------------------------------
 
 
-def test_fastpath_on_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    assert fastpath_enabled_default() is True
-    assert Runtime(_config()).fastpath is True
-
-
-@pytest.mark.parametrize("value", ["1", "true", "YES", " 1 "])
-def test_repro_no_fastpath_disables(monkeypatch, value):
-    monkeypatch.setenv("REPRO_NO_FASTPATH", value)
-    assert fastpath_enabled_default() is False
-    assert Runtime(_config()).fastpath is False
-
-
-def test_repro_no_fastpath_unrecognised_values_keep_it_on(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_FASTPATH", "0")
-    assert fastpath_enabled_default() is True
-
-
-def _fresh_env(rt):
-    from repro.runtime.env import Env
-    from repro.runtime.thread import ThreadContext
-
-    return Env(rt, ThreadContext(pid=0, gen=None))
-
-
-def test_explicit_fastpath_argument_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    rt = Runtime(_config(), fastpath=True)
-    assert rt.fastpath is True
-    assert _fresh_env(rt).fastpath is True
-
-
-def test_env_binds_slow_methods_when_disabled():
-    env = _fresh_env(Runtime(_config(), fastpath=False))
-    assert env.read.__func__ is env._read_slow.__func__
-    assert env.read_block.__func__ is env._read_block_slow.__func__
-    env2 = _fresh_env(Runtime(_config(), fastpath=True))
-    assert env2.read.__func__ is env2._read_fast.__func__
-
-
-# ---------------------------------------------------------------------------
-# adaptive bypass: miss-heavy loops fall back to the plain paths
-# ---------------------------------------------------------------------------
-
-
-from repro.core.engine import Protocol  # noqa: E402
-
-#: the default sampling window (engines may override per-class)
-_FP_SAMPLE_BURSTS = Protocol.fp_sample_bursts
-
-
-def _miss_heavy(arr, nwords, captured):
-    """Jacobi's shape: over-quantum compute between single fresh reads,
-    so every burst ends before the burst caches can serve a repeat."""
-
-    def worker(env):
-        for k in range(_FP_SAMPLE_BURSTS + 8):
-            yield from env.compute(1501)
-            v = yield from env.read(arr.addr((env.pid * 64 + k) % nwords))
-            captured.append(v)
-
-    return worker
-
-
-def _hit_heavy(arr, nwords, captured):
-    """Repeats within every burst: the caches pay for themselves."""
+def _mixed(arr, nwords, captured):
+    """Every operation, each call in its own burst."""
 
     def worker(env):
         base = arr.addr(env.pid * 64)
-        for _ in range(_FP_SAMPLE_BURSTS + 8):
-            for _ in range(4):
-                v = yield from env.read(base)
-            captured.append(v)
+        for k in range(8):
             yield from env.compute(1501)
+            v = yield from env.read(base + k * WORD_BYTES)
+            yield from env.write(base + k * WORD_BYTES, v + 1.0)
+            vals = yield from env.read_block(base, 16)
+            yield from env.write_block(base, vals)
+            vals = yield from env.read_many((base, base + 8 * WORD_BYTES))
+            yield from env.write_many((base, base + 8 * WORD_BYTES), vals)
+        captured.append(env.pid)
 
     return worker
 
 
-def _run_and_collect_envs(factory, *, fastpath=True, analysis=None):
-    rt = Runtime(_config(), quantum=1500, fastpath=fastpath, analysis=analysis)
-    nwords = 64 * 4
-    arr = rt.array("data", nwords)
-    arr.init([float(i) for i in range(nwords)])
-    captured = []
-    rt.spawn_all(factory(arr, nwords, captured))
-    result = rt.run()
-    return rt, _state(rt, result)
+_OPS = ("read", "write", "read_block", "write_block", "read_many", "write_many")
 
 
-def test_miss_heavy_workers_bypass_to_slow_paths():
-    rt, _ = _run_and_collect_envs(_miss_heavy)
-    assert rt.envs and all(e.fastpath_bypassed for e in rt.envs)
-    # the demotion rebinds all five memory operations
-    env = rt.envs[0]
-    assert env.read.__func__ is env._read_slow.__func__
-    assert env.write_block.__func__ is env._write_block_slow.__func__
-
-
-def test_hit_heavy_workers_keep_the_fast_paths():
-    rt, _ = _run_and_collect_envs(_hit_heavy)
-    for env in rt.envs:
-        assert env._fp_adaptive is False  # sampling did conclude...
-        assert not env.fastpath_bypassed  # ...and kept the fast engine
-
-
-def test_bypass_decision_is_cycle_invisible():
-    _, fast = _run_and_collect_envs(_miss_heavy, fastpath=True)
-    _, slow = _run_and_collect_envs(_miss_heavy, fastpath=False)
-    assert fast == slow
-
-
-def test_slow_mode_never_reports_bypass():
-    rt, _ = _run_and_collect_envs(_miss_heavy, fastpath=False)
-    assert not any(e.fastpath_bypassed for e in rt.envs)
-
-
-def test_race_detector_disables_the_adaptive_sampler():
-    # Rebinding over the detector's recording wrappers would silently
-    # drop race coverage, so instrumented runs never demote.
-    rt, _ = _run_and_collect_envs(_miss_heavy, analysis="races")
+def test_race_detector_wrappers_stay_bound_after_a_run():
+    # The detector rebinds the six operations per instance to recording
+    # wrappers; nothing may rebind over them during a run, or race
+    # coverage would silently drop.
+    rt = Runtime(_config(), quantum=1500, analysis="races")
+    arr = rt.array("data", 64 * 4)
+    arr.init([float(i) for i in range(64 * 4)])
+    rt.spawn_all(_mixed(arr, 64 * 4, []))
+    rt.run()
     assert rt.race_detector is not None
+    assert len(rt.envs) == 4
     for env in rt.envs:
-        assert env._fp_adaptive is False
-        assert not env.fastpath_bypassed
-
-
-def test_jacobi_keeps_fast_paths_in_practice():
-    # Jacobi's old per-point loop (one fresh read, then over-quantum
-    # compute) left no per-burst reuse and its workers demoted — the
-    # regression the bypass mechanism exists for, now pinned by the
-    # synthetic _miss_heavy workload above.  The batched row kernel
-    # reads whole rows per burst, so its workers must NOT demote: the
-    # bypass sampler has to recognize the reuse the batching created.
-    from repro.apps import jacobi
-    from repro.runtime import Runtime as RT
-
-    runtimes = []
-    hook = runtimes.append
-    RT.construction_hooks.append(hook)
-    try:
-        jacobi.run(_config(), jacobi.JacobiParams(n=16, iterations=3))
-    finally:
-        RT.construction_hooks.remove(hook)
-    envs = [e for rt in runtimes for e in rt.envs]
-    assert envs and not any(e.fastpath_bypassed for e in envs)
+        for op in _OPS:
+            assert not isinstance(getattr(env, op), types.MethodType), op

@@ -8,11 +8,12 @@ the default cost model (8 processors, 32x32 Jacobi, 3 iterations,
 Any drift — an extra event, a changed size, a reordered send — shifts
 them and fails this test.
 
-The same goldens also pin the fast-path access engine: the default run
-uses the fast paths, so the totals above must hold with them on, and
-``test_fastpath_and_slow_path_full_state_identical`` compares every
+The same goldens also pin the batched access operations: the Jacobi
+kernel reads and writes whole rows through them, so the totals above
+must hold with them, and
+``test_batched_and_word_loop_full_state_identical`` compares every
 observable — clocks, stats, message flows, final memory — between the
-fast and slow engines.
+batched operations and their word-loop references.
 """
 
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from repro.apps import jacobi, tsp
 from repro.apps.jacobi import JacobiParams
 from repro.params import MachineConfig, NetworkConfig
+from tests.word_loops import word_loops
 
 #: network -> cluster size -> (total_time, inter_ssmp, intra_ssmp msgs)
 #: (re-captured when the Jacobi kernel moved to the batched row APIs:
@@ -67,11 +69,12 @@ def test_jacobi_figure6_curve_is_bit_for_bit(network):
         )
 
 
-def _full_state(fastpath: bool):
+def _full_state(reference: bool):
     config = MachineConfig(total_processors=8, cluster_size=2)
-    rt = jacobi.make_runtime(config, fastpath=fastpath)
-    final = jacobi.build(rt, JacobiParams(n=32, iterations=3))
-    result = rt.run()
+    with word_loops(reference):
+        rt = jacobi.make_runtime(config)
+        final = jacobi.build(rt, JacobiParams(n=32, iterations=3))
+        result = rt.run()
     return {
         "total_time": result.total_time,
         "threads": [
@@ -87,11 +90,11 @@ def _full_state(fastpath: bool):
     }
 
 
-def test_fastpath_and_slow_path_full_state_identical():
-    fast = _full_state(True)
-    slow = _full_state(False)
-    for key in fast:
-        assert fast[key] == slow[key], f"fastpath changed {key}"
+def test_batched_and_word_loop_full_state_identical():
+    batched = _full_state(False)
+    loops = _full_state(True)
+    for key in batched:
+        assert batched[key] == loops[key], f"batched operations changed {key}"
 
 
 # ---------------------------------------------------------------------------

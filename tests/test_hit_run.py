@@ -1,7 +1,7 @@
 """Edge cases for the batched cache probes: hit_run / hit_lines /
 access_run, including under the non-MGS protocol engines.
 
-``CacheSystem.hit_run`` powers the runtime's batched fast paths, so a
+``CacheSystem.hit_run`` powers the runtime's batched access paths, so a
 wrong run length would not just misprice a block — it would misclassify
 accesses and diverge the machine.  These tests pin the boundaries that
 the app workloads rarely exercise: zero-length runs, runs cut at the
@@ -16,6 +16,7 @@ import pytest
 from repro.hw import CacheSystem
 from repro.params import WORD_BYTES, CostModel, MachineConfig
 from repro.runtime import Runtime
+from tests.word_loops import word_loops
 
 COSTS = CostModel()
 
@@ -170,13 +171,19 @@ def _state(rt, result):
     }
 
 
-def _run_straddle(protocol: str, fastpath: bool):
+def _run_straddle(protocol: str, reference: bool):
     """Block reads/writes crossing a page boundary, plus an invalidation
-    between passes so the second pass's run is cut mid-block."""
+    between passes so the second pass's run is cut mid-block.
+    ``reference`` swaps the block operations for their word loops."""
+    with word_loops(reference):
+        return _straddle(protocol)
+
+
+def _straddle(protocol: str):
     config = MachineConfig(
         total_processors=4, cluster_size=2, protocol=protocol
     )
-    rt = Runtime(config, fastpath=fastpath)
+    rt = Runtime(config)
     words_per_page = config.page_size // WORD_BYTES
     nwords = 2 * words_per_page
     arr = rt.array("data", nwords)
@@ -205,13 +212,13 @@ def _run_straddle(protocol: str, fastpath: bool):
 
 @pytest.mark.parametrize("protocol", ["swdsm", "gcs", "sc_pages"])
 def test_page_straddling_runs_non_mgs(protocol):
-    fast_state, fast_vals = _run_straddle(protocol, fastpath=True)
-    slow_state, slow_vals = _run_straddle(protocol, fastpath=False)
-    assert fast_state == slow_state, f"{protocol}: fastpath diverged"
-    assert fast_vals == slow_vals
+    batched_state, batched_vals = _run_straddle(protocol, reference=False)
+    loop_state, loop_vals = _run_straddle(protocol, reference=True)
+    assert batched_state == loop_state, f"{protocol}: batched diverged"
+    assert batched_vals == loop_vals
     # The writer's store is observable in everyone's second pass.
     words_per_page = 1024 // WORD_BYTES
-    first = {v for pid, p, v in fast_vals if p == 0}
-    second = {v for pid, p, v in fast_vals if p == 1}
+    first = {v for pid, p, v in batched_vals if p == 0}
+    second = {v for pid, p, v in batched_vals if p == 1}
     assert len(first) == 1
     assert second == {next(iter(first)) - words_per_page - 1.0}
