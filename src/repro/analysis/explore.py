@@ -618,13 +618,8 @@ class _Harness:
             for entry in sorted(rt.sim._heap)
         )
         cache_state = tuple(
-            tuple(
-                sorted(
-                    (line, s[0], tuple(sorted(s[1])))
-                    for line, s in directory.items()
-                )
-            )
-            for directory in rt.cache._lines
+            tuple(sorted(rt.cache.line_states(cluster).items()))
+            for cluster in range(rt.config.num_clusters)
         )
         state = (
             tuple((t.pc, t.status, t.refaults) for t in self.threads),

@@ -28,20 +28,33 @@ sizes fit comfortably in Alewife's 64 KB SRAM, and the effects the paper
 studies — false sharing and multigrain locality — come from coherence
 misses, which are modeled.
 
+Line states are packed ints.  Each cluster's directory maps a line id to
+one int: the low bits hold ``owner + 1`` (0: no owner), the bits above
+them the sharer bitmask (bit ``p`` set when processor ``p`` holds a
+shared copy).  A line with no key is uncached.  An owned line never has
+sharers, so the owner's state is exactly ``owner + 1`` and a hit test is
+one or two integer compares.
+
 Hot-path note: every simulated word access lands in :meth:`CacheSystem.
 access`, so the common case — a hit — is resolved with one dict probe and
-an inline privilege check before the full classify-and-update runs.
+an integer compare, and the miss transitions are written inline.
 Statistics live in a fixed-slot integer list indexed by ``AccessClass``
 position (no ``Counter``/enum hashing per access); the ``stats`` property
-rebuilds the Counter view for reporting.  ``record_hits`` lets a caller
-account hits it proved without a directory probe; see
-``docs/PERFORMANCE.md`` for why that is safe.
+rebuilds the Counter view for reporting.  The batched probes
+(:meth:`~CacheSystem.hit_run`, :meth:`~CacheSystem.hit_lines`,
+:meth:`~CacheSystem.access_run`) work a group of consecutive lines with
+equal state at a time; see ``docs/PERFORMANCE.md`` for why that is exact.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate, groupby, repeat
+from operator import eq
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.params import CostModel, MachineConfig
 
@@ -82,6 +95,9 @@ class CacheSystem:
         "_counts",
         "_cost_of",
         "_hw_ptrs",
+        "_shift",
+        "_owner_mask",
+        "state_bits",
         "hit_cost",
         "worst_miss",
         "worst_hw_miss",
@@ -91,8 +107,14 @@ class CacheSystem:
         self.config = config
         self.costs = costs
         self._hw_ptrs = config.hw_dir_pointers
-        # One directory per cluster: line id -> [owner_pid or -1, sharer set]
-        self._lines: list[dict[int, list]] = [
+        # ``owner + 1`` ranges over 0..P, so it takes P.bit_length() bits;
+        # sharer bit p sits at ``1 << (p + _shift)``.
+        self._shift = config.total_processors.bit_length()
+        self._owner_mask = (1 << self._shift) - 1
+        #: every packed state is below ``1 << state_bits``
+        self.state_bits = self._shift + config.total_processors
+        # One directory per cluster: line id -> packed state
+        self._lines: list[dict[int, int]] = [
             {} for _ in range(config.num_clusters)
         ]
         self._counts: list[int] = [0] * len(_CLASSES)
@@ -127,6 +149,87 @@ class CacheSystem:
             {klass: n for klass, n in zip(_CLASSES, self._counts) if n}
         )
 
+    # -- state inspection -------------------------------------------------
+
+    def line_state(self, cluster: int, line: int) -> int | None:
+        """Packed state of ``line`` in ``cluster``; None when uncached."""
+        return self._lines[cluster].get(line)
+
+    def line_states(self, cluster: int) -> Mapping[int, int]:
+        """Read-only live view of ``cluster``'s directory: line id ->
+        packed state, in insertion order."""
+        return MappingProxyType(self._lines[cluster])
+
+    def decode(self, state: int) -> tuple[int, frozenset[int]]:
+        """``(owner or -1, sharer pids)`` of a packed state."""
+        sharers = state >> self._shift
+        return (state & self._owner_mask) - 1, frozenset(
+            p for p in range(sharers.bit_length()) if sharers >> p & 1
+        )
+
+    # -- classification ---------------------------------------------------
+
+    def _hits(self, state: int | None, pid: int, is_write: bool) -> bool:
+        """Whether an access to a line in ``state`` needs no update."""
+        if state == pid + 1:
+            return True  # owned by the issuer
+        # A line with sharers has no owner, so a load hits on the bit.
+        return not is_write and state is not None and bool(
+            state >> (pid + self._shift) & 1
+        )
+
+    def _transition(
+        self, state: int | None, pid: int, is_write: bool, home_pid: int
+    ) -> tuple[int, int]:
+        """``(class index, new state)`` of one *missing* access.
+
+        The same rules as the inline miss path of :meth:`access`, for
+        the batched :meth:`access_run`, which classifies once per group
+        of equal-state lines.  ``tests/test_hw_directory.py`` pins the
+        two against each other.
+        """
+        shift = self._shift
+        if state is None:
+            klass = _LOCAL if home_pid == pid else _REMOTE
+            return klass, pid + 1 if is_write else 1 << (pid + shift)
+        owner = state & self._owner_mask
+        if owner:
+            # Dirty in another cache: the issuer and owner differ, so the
+            # transaction stays 2-party exactly when the home node is one
+            # of them.
+            owner -= 1
+            klass = (
+                _TWO_PARTY
+                if home_pid == pid or home_pid == owner
+                else _THREE_PARTY
+            )
+            if is_write:
+                return klass, pid + 1
+            return klass, (1 << (pid + shift)) | (1 << (owner + shift))
+        sharers = state >> shift
+        if sharers.bit_count() > self._hw_ptrs:
+            klass = _SOFTWARE
+        elif not is_write:
+            klass = _LOCAL if home_pid == pid else _REMOTE
+        else:
+            # Invalidate the shared copies; the cost class follows the
+            # number of parties: >1 other sharer is always 3-party, a
+            # single one is 2-party when the issuer or it is the home.
+            others = sharers & ~(1 << pid)
+            if not others:
+                klass = _LOCAL if home_pid == pid else _REMOTE
+            elif not others & (others - 1) and (
+                home_pid == pid or others == 1 << home_pid
+            ):
+                klass = _TWO_PARTY
+            else:
+                klass = _THREE_PARTY
+        if is_write:
+            return klass, pid + 1
+        return klass, state | (1 << (pid + shift))
+
+    # -- batched probes ---------------------------------------------------
+
     def hit_run(
         self, cluster: int, pid: int, first_line: int, max_lines: int, is_write: bool
     ) -> int:
@@ -135,26 +238,30 @@ class CacheSystem:
 
         A read-only probe — no directory update, no statistics.  The
         runtime's batched operations use it to charge whole runs of hit
-        words in closed form; the caller accounts the hits itself (e.g.
-        via :meth:`record_hits`).
+        words in closed form and account the hits themselves.  Lines
+        are judged a group of consecutive equal states at a time.
         """
-        get = self._lines[cluster].get
+        groups = groupby(
+            map(
+                self._lines[cluster].get,
+                range(first_line, first_line + max_lines),
+            )
+        )
+        # The :meth:`_hits` test, inlined: this probe runs once per
+        # stretch of hit words.
+        own = pid + 1
         n = 0
         if is_write:
-            while n < max_lines:
-                state = get(first_line + n)
-                if state is None or state[0] != pid:
+            for state, group in groups:
+                if state != own:
                     break
-                n += 1
+                n += len(list(group))
         else:
-            while n < max_lines:
-                state = get(first_line + n)
-                if state is None:
+            shift = pid + self._shift
+            for state, group in groups:
+                if state != own and (state is None or not state >> shift & 1):
                     break
-                owner = state[0]
-                if owner != pid and (owner != -1 or pid not in state[1]):
-                    break
-                n += 1
+                n += len(list(group))
         return n
 
     def hit_lines(
@@ -168,24 +275,14 @@ class CacheSystem:
         ids instead of a consecutive run.  The runtime's vectorized
         ``read_many``/``write_many`` and the ``write_block`` all-hit
         preamble use it to prove a whole scatter/gather access vector
-        conflict-free before charging it in one aggregate; the caller
-        accounts the hits itself (via :meth:`record_hits`).
+        conflict-free before charging it in one aggregate, and account
+        the hits themselves.
         """
-        get = self._lines[cluster].get
+        states = map(self._lines[cluster].get, lines)
         if is_write:
-            for line in lines:
-                state = get(line)
-                if state is None or state[0] != pid:
-                    return False
-        else:
-            for line in lines:
-                state = get(line)
-                if state is None:
-                    return False
-                owner = state[0]
-                if owner != pid and (owner != -1 or pid not in state[1]):
-                    return False
-        return True
+            return all(map(eq, states, repeat(pid + 1)))
+        hits = self._hits
+        return all(hits(state, pid, False) for state, _ in groupby(states))
 
     def access_run(
         self,
@@ -199,7 +296,7 @@ class CacheSystem:
     ) -> tuple[int, int]:
         """Classify-and-update a run of consecutive *missing* lines.
 
-        Batched companion to :meth:`access` for the runtime's block fast
+        Batched companion to :meth:`access` for the runtime's block
         paths: starting at ``first_line``, lines are serviced with
         exactly the per-line state transitions, class counts, and costs
         that individual ``access`` calls would apply, while (a) the line
@@ -218,49 +315,59 @@ class CacheSystem:
         semantics, so the cut is a wall-clock detail, never a behavior
         change.)
 
+        The run is worked a group at a time: consecutive lines with
+        equal state (all on the caller's one page, so one home) get the
+        same class and the same new state, so one prefix-sum bisect
+        decides how many of them fit the budget and one ``dict.update``
+        writes them.
+
         Returns ``(lines_processed, total_charge)``, the charge
         including the extras of the processed lines.
         """
         directory = self._lines[cluster]
-        get = directory.get
         counts = self._counts
         cost_of = self._cost_of
-        classify = self._classify_and_update
         worst_hw = self.worst_hw_miss
         soft = cost_of[_SOFTWARE]
         hw_ptrs = self._hw_ptrs
+        shift = self._shift
         total = 0
         k = 0
-        for extra in extras:
-            line = first_line + k
-            state = get(line)
-            if state is not None:
-                owner = state[0]
-                if (
-                    owner == pid
-                    if is_write
-                    else owner == pid or (owner == -1 and pid in state[1])
-                ):
-                    break  # guaranteed hit: the caller's hit-run takes over
-                bound = soft if len(state[1]) > hw_ptrs else worst_hw
-            else:
-                bound = worst_hw
-            if total + bound + extra > budget:
+        for state, group in groupby(
+            map(directory.get, range(first_line, first_line + len(extras)))
+        ):
+            if self._hits(state, pid, is_write):
+                break  # guaranteed hit: the caller's hit-run takes over
+            klass, new = self._transition(state, pid, is_write, home_pid)
+            cost = cost_of[klass]
+            # (An owned line has no sharers, so it is never software.)
+            bound = (
+                soft
+                if state is not None and (state >> shift).bit_count() > hw_ptrs
+                else worst_hw
+            )
+            n = len(list(group))
+            # Line j of the group is admitted iff
+            #   total + j * cost + sums[j] + bound <= budget,
+            # with sums[j] the group's extras through line j; the left
+            # side grows with j, so the admitted lines are a prefix.
+            sums = list(accumulate(extras[k : k + n]))
+            fit = bisect_right(
+                range(n),
+                budget - total - bound,
+                key=lambda j: sums[j] + j * cost,
+            )
+            if fit:
+                line = first_line + k
+                directory.update(zip(range(line, line + fit), repeat(new)))
+                counts[klass] += fit
+                total += sums[fit - 1] + fit * cost
+                k += fit
+            if fit < n:
                 break
-            i = classify(directory, state, pid, line, is_write, home_pid)
-            counts[i] += 1
-            total += cost_of[i] + extra
-            k += 1
         return k, total
 
-    def record_hits(self, n: int) -> None:
-        """Account ``n`` hits classified outside the directory.
-
-        For callers that classify repeat accesses to a line they just
-        touched, which are hits by construction (the line state cannot
-        change while the thread runs uninterrupted).
-        """
-        self._counts[_HIT] += n
+    # -- single access ----------------------------------------------------
 
     def access(
         self, cluster: int, pid: int, line: int, is_write: bool, home_pid: int
@@ -277,93 +384,57 @@ class CacheSystem:
         """
         directory = self._lines[cluster]
         state = directory.get(line)
-        if state is not None:
-            # Inline hit check: sufficient privilege means no directory
-            # update, so the full classification can be skipped.
-            owner = state[0]
-            if (
-                owner == pid
-                if is_write
-                else owner == pid or (owner == -1 and pid in state[1])
+        # The hit test and the miss transitions are :meth:`_hits` and
+        # :meth:`_transition` written out inline: this method runs once
+        # per simulated word.
+        if state is None:
+            klass = _LOCAL if home_pid == pid else _REMOTE
+            directory[line] = (
+                pid + 1 if is_write else 1 << (pid + self._shift)
+            )
+        else:
+            shift = self._shift
+            if state == pid + 1 or (
+                not is_write and state >> (pid + shift) & 1
             ):
                 self._counts[_HIT] += 1
                 return self.hit_cost
-        i = self._classify_and_update(
-            directory, state, pid, line, is_write, home_pid
-        )
-        self._counts[i] += 1
-        return self._cost_of[i]
-
-    def _classify_and_update(
-        self,
-        directory: dict[int, list],
-        state: list | None,
-        pid: int,
-        line: int,
-        is_write: bool,
-        home_pid: int,
-    ) -> int:
-        if state is None:
-            state = [-1, set()]
-            directory[line] = state
-        owner, sharers = state[0], state[1]
-
-        if is_write:
-            if owner == pid:
-                return _HIT
-            if owner != -1:
-                # Dirty in another cache: fetch-exclusive, owner writes
-                # back.  The issuer and owner differ here (same-owner
-                # writes returned HIT above), so the transaction stays
-                # 2-party exactly when the home node is one of them.
+            owner = state & self._owner_mask
+            if owner:
+                # Dirty in another cache; a load leaves both as sharers.
+                owner -= 1
                 klass = (
                     _TWO_PARTY
                     if home_pid == pid or home_pid == owner
                     else _THREE_PARTY
                 )
-            elif len(sharers) > self._hw_ptrs:
-                klass = _SOFTWARE
-            else:
-                # Invalidate shared copies; cost scales with parties
-                # involved.  Count sharers other than the issuer without
-                # materializing the difference set — this runs on every
-                # upgrade write.
-                in_set = pid in sharers
-                nothers = len(sharers) - in_set
-                if nothers == 0:
+                directory[line] = (
+                    pid + 1
+                    if is_write
+                    else (1 << (pid + shift)) | (1 << (owner + shift))
+                )
+            elif is_write:
+                directory[line] = pid + 1
+                sharers = state >> shift
+                others = sharers & ~(1 << pid)
+                if sharers.bit_count() > self._hw_ptrs:
+                    klass = _SOFTWARE
+                elif not others:
                     klass = _LOCAL if home_pid == pid else _REMOTE
-                elif nothers > 1 or home_pid == pid:
-                    # >1 invalidation targets is always 3-party; a
-                    # single target with the issuer at home is 2-party.
-                    klass = _THREE_PARTY if nothers > 1 else _TWO_PARTY
+                elif not others & (others - 1) and (
+                    home_pid == pid or others == 1 << home_pid
+                ):
+                    klass = _TWO_PARTY
                 else:
-                    third = min(sharers - {pid}) if in_set else min(sharers)
-                    klass = (
-                        _TWO_PARTY if home_pid == third else _THREE_PARTY
-                    )
-            state[0] = pid
-            state[1] = set()
-            return klass
-
-        # Load.
-        if owner == pid or (owner == -1 and pid in sharers):
-            return _HIT
-        if owner != -1:
-            # Issuer and owner differ (same-owner loads are hits), so
-            # 2-party exactly when the home node is one of them.
-            klass = (
-                _TWO_PARTY
-                if home_pid == pid or home_pid == owner
-                else _THREE_PARTY
-            )
-            state[1] = {pid, owner}
-            state[0] = -1
-            return klass
-        if len(sharers) > self._hw_ptrs:
-            sharers.add(pid)
-            return _SOFTWARE
-        sharers.add(pid)
-        return _LOCAL if home_pid == pid else _REMOTE
+                    klass = _THREE_PARTY
+            else:
+                directory[line] = state | (1 << (pid + shift))
+                if (state >> shift).bit_count() > self._hw_ptrs:
+                    klass = _SOFTWARE
+                else:
+                    klass = _LOCAL if home_pid == pid else _REMOTE
+        self._counts[klass] += 1
+        return self._cost_of[klass]
 
     def flush_page(self, cluster: int, first_line: int, nlines: int) -> int:
         """Drop all line state of a page in ``cluster`` (page cleaning).

@@ -417,26 +417,24 @@ class PhaseRecorder:
         machine = rt.machine
         # The hardware line directory is by far the largest component
         # (one entry per cached line), so it gets the cheap encoding:
-        # a flat (line, owner, sharer-bitmask) int stream per cluster —
-        # the bitmask is order-independent, no per-line sort needed —
-        # collapsed to 16 bytes through numpy when the masks fit int64
-        # (they always do at the paper's machine sizes).
-        numeric = rt.config.total_processors <= 60
+        # each cluster's line ids and packed states as two flat int
+        # arrays — a packed state is order-independent in its sharers,
+        # no per-line work at all — collapsed to 16 bytes through numpy
+        # when the states fit int64 (up to 57 processors, so at every
+        # paper machine size).
+        cache = rt.cache
+        numeric = cache.state_bits <= 63
         cache_state = []
-        for directory in rt.cache._lines:
-            flat = []
-            extend = flat.extend
-            for line, s in directory.items():
-                mask = 0
-                for p in s[1]:
-                    mask |= 1 << p
-                extend((line, s[0], mask))
+        for cluster in range(rt.config.num_clusters):
+            states = cache.line_states(cluster)
             if numeric:
-                cache_state.append(
-                    array_digest(np.array(flat, dtype=np.int64))
-                )
+                n = len(states)
+                h = hashlib.blake2b(digest_size=16)
+                h.update(np.fromiter(states.keys(), np.int64, n))
+                h.update(np.fromiter(states.values(), np.int64, n))
+                cache_state.append(h.digest())
             else:
-                cache_state.append(tuple(flat))
+                cache_state.append(tuple(states.items()))
         state = (
             phase_key,
             tuple((t.time - base, t.time - t.last_yield) for t in threads),

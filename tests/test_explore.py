@@ -52,6 +52,17 @@ GOLDEN = ("double_rack", "sc_shared_writer")
 # ---------------------------------------------------------------------------
 
 
+#: (states, transitions) of the default program, per engine.  The state
+#: key is a canonical encoding of the machine, so a change to how any
+#: component is stored must neither merge nor split states.
+STATE_COUNTS = {
+    "gcs": (584, 815),
+    "mgs": (1052, 1423),
+    "sc_pages": (626, 879),
+    "swdsm": (433, 604),
+}
+
+
 @pytest.mark.parametrize("engine", sorted(engine_names()))
 def test_exhaustive_state_space_is_clean(engine):
     """2 threads x 1 page fully exhausted, zero violations, any engine."""
@@ -60,6 +71,7 @@ def test_exhaustive_state_space_is_clean(engine):
     assert not report.caught, report.summary()
     assert not report.truncated, "state cap hit: not actually exhaustive"
     assert report.states > 100, "suspiciously small space"
+    assert (report.states, report.edges) == STATE_COUNTS[engine]
 
 
 # ---------------------------------------------------------------------------

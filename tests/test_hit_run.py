@@ -115,7 +115,9 @@ def test_access_run_matches_scalar_loop():
     )
     assert total == expect
     assert list(batched._counts) == list(scalar._counts)
-    assert batched._lines[0] == scalar._lines[0]
+    assert list(batched.line_states(0).items()) == list(
+        scalar.line_states(0).items()
+    )
 
 
 def test_access_run_stops_at_guaranteed_hit():

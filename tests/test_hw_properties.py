@@ -47,8 +47,7 @@ def test_directory_invariants(trace):
     for pid, line, is_write, home in ops:
         cost = cache.access(0, pid, line, is_write, home)
         assert cost in valid_costs
-        state = cache._lines[0].get(line)
-        owner, sharers = state[0], state[1]
+        owner, sharers = cache.decode(cache.line_state(0, line))
         if owner != -1:
             assert not sharers, "dirty line must have no sharers"
         # Immediate re-access hits.
@@ -65,9 +64,9 @@ def test_read_sharing_accumulates_sharers(readers, home):
     cache = CacheSystem(config, COSTS)
     for pid in readers:
         cache.access(0, pid, 0, False, home)
-    state = cache._lines[0][0]
-    assert state[0] == -1
-    assert state[1] == set(readers)
+    owner, sharers = cache.decode(cache.line_state(0, 0))
+    assert owner == -1
+    assert sharers == set(readers)
 
 
 @settings(max_examples=100, deadline=None)
