@@ -508,6 +508,7 @@ def run(
     node_snap = nodes.snapshot()
     root_mass = node_snap[last_base + F_MASS]
     total_mass = float(params.initial_bodies()[1].sum())
+    rt.close()
     return AppRun(
         name="barnes-hut",
         result=result,

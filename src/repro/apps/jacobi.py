@@ -137,6 +137,7 @@ def run(
     reference = golden(params).ravel()
     measured = final.snapshot()
     max_error = float(np.max(np.abs(measured - reference)))
+    rt.close()
     return AppRun(
         name="jacobi",
         result=result,

@@ -150,6 +150,7 @@ def run(
     snap = arr_c.snapshot()
     measured = np.stack([snap[i * row_stride : i * row_stride + n] for i in range(n)])
     max_error = float(np.max(np.abs(measured - reference)))
+    rt.close()
     return AppRun(
         name="matmul",
         result=result,

@@ -136,6 +136,7 @@ def run(
     max_error = float(
         max(abs(m - r) for m, r in zip(measured, reference))
     ) if len(measured) == len(reference) else float("inf")
+    rt.close()
     # Replay counters live in result.replay_cache, NOT aux: aux is
     # serialized into run-cache entries, and a store-warm run replays
     # more phases than the run that recorded them — counters in aux

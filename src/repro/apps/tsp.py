@@ -20,7 +20,6 @@ pending-work counter maintained under the queue lock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,20 +67,24 @@ def golden(params: TSPParams) -> float:
     """Optimal tour cost by Held-Karp dynamic programming."""
     dist = params.distances()
     n = params.ncities
-
-    @lru_cache(maxsize=None)
-    def best(visited: int, last: int) -> float:
-        if visited == (1 << n) - 1:
-            return dist[last][0]
-        result = float("inf")
-        for city in range(n):
-            if not visited & (1 << city):
-                result = min(
-                    result, dist[last][city] + best(visited | (1 << city), city)
-                )
-        return result
-
-    return float(best(1, 0))
+    full = (1 << n) - 1
+    # best[visited][last]: the cheapest path from ``last`` through every
+    # city not in ``visited`` and back to city 0.  Tours start at city
+    # 0, so only odd ``visited`` sets occur; a superset is a larger
+    # number, so a descending sweep meets it first.
+    best: dict[int, list[float]] = {full: [dist[last][0] for last in range(n)]}
+    for visited in range(full - 2, 0, -2):
+        row = []
+        for last in range(n):
+            result = float("inf")
+            for city in range(n):
+                if not visited & (1 << city):
+                    result = min(
+                        result, dist[last][city] + best[visited | (1 << city)][city]
+                    )
+            row.append(result)
+        best[visited] = row
+    return float(best[1][0])
 
 
 def build(rt: Runtime, params: TSPParams):
@@ -229,6 +232,7 @@ def run(
     result = rt.run()
     measured = float(best_arr.snapshot()[0])
     reference = golden(params)
+    rt.close()
     return AppRun(
         name="tsp",
         result=result,

@@ -232,6 +232,7 @@ def run(
     )
     pos_error = float(np.max(np.abs(measured_pos - ref_pos)))
     pe_error = abs(float(stats.snapshot()[0]) - ref_pe) / max(abs(ref_pe), 1.0)
+    rt.close()
     return AppRun(
         name="water",
         result=result,

@@ -297,6 +297,7 @@ def run(
         [snap[mol_word(i, FRC) : mol_word(i, FRC) + 3] for i in range(n)]
     )
     max_error = float(np.max(np.abs(measured - reference)))
+    rt.close()
     return AppRun(
         name="water-kernel-opt" if params.optimized else "water-kernel",
         result=result,

@@ -138,6 +138,17 @@ class MessageBus:
                         )
                     self._handlers[key] = bound
 
+    def close(self) -> None:
+        """Drop the registered handlers and taps.
+
+        Handlers are bound methods of the engine that owns this bus, so
+        they close a reference cycle; see :meth:`repro.runtime.Runtime.
+        close`.
+        """
+        self._handlers.clear()
+        self._taps.clear()
+        self._txn_taps.clear()
+
     def handled_labels(self) -> set[str]:
         """Labels with a registered handler (Table 2 plus internal)."""
         return set(self._handlers)

@@ -251,6 +251,15 @@ class Protocol:
         """Sanitizer rules for this engine (default: structural no-op)."""
         return ArcRules(sanitizer)
 
+    def close(self) -> None:
+        """Break the engine's reference cycles once its run is over.
+
+        The bus holds the engine's handlers bound; engines whose parts
+        point back at the engine drop those parts too.  The engine is
+        unusable afterwards (see :meth:`repro.runtime.Runtime.close`).
+        """
+        self.bus.close()
+
     def check_invariants(self) -> None:
         """Assert cross-engine invariants; raises AssertionError on bugs."""
 

@@ -100,6 +100,11 @@ class MGSProtocol(Protocol):
     def bus_handlers(self) -> frozenset[str]:
         return frozenset(REQUIRED_LABELS)
 
+    def close(self) -> None:
+        super().close()
+        # The clients reach back to the engine through ``ctx``.
+        del self.local, self.remote, self.server
+
     def arc_rules(self, sanitizer):
         from repro.protocols.mgs.arcs import MGSArcRules
 

@@ -310,6 +310,27 @@ class Runtime:
             self.sanitizer.check_quiescent()
         return self._collect_result()
 
+    def close(self) -> None:
+        """Release the run's object graph.
+
+        Every ``Env`` binds its memory operations per instance and points
+        back at this runtime, the engine's bus holds its handlers bound,
+        and a phased run's factory and recorder reach back here too, so a
+        finished runtime sits in reference cycles that only a full
+        garbage collection frees; a process that runs point after point
+        holds every earlier point's state until one happens.  ``close``
+        breaks those cycles, so dropping the last reference frees the run
+        at once.  Call it after the run's results and arrays have been
+        read: the threads' Envs, the engine and the phase recorder are
+        unusable afterwards.
+        """
+        for env in self.envs:
+            env.close()
+        self.envs = []
+        self.protocol.close()
+        self._phase_factory = None
+        self.phase_recorder = None
+
     def _check_finished(self) -> None:
         unfinished = [t.pid for t in self.threads if not t.done]
         if unfinished:
@@ -336,6 +357,8 @@ class Runtime:
 
     def _start_phase(self, index: int) -> None:
         """Hand every thread a fresh generator and schedule its resume."""
+        for env in self.envs:
+            env.close()  # the previous phase's threads are done
         self.envs = []
         for t in self.threads:
             t.done = False
