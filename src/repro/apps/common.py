@@ -95,15 +95,5 @@ def make_runtime(
     costs: CostModel | None = None,
     quantum: int = 1500,
     replay: bool | None = None,
-    replay_store=None,
 ) -> Runtime:
-    """``replay_store`` follows :func:`repro.bench.cache
-    .resolve_replay_store` semantics: None consults the environment, an
-    instance pins the persistent phase-replay store explicitly."""
-    return Runtime(
-        config,
-        costs,
-        quantum,
-        replay=replay,
-        replay_store=replay_store,
-    )
+    return Runtime(config, costs, quantum, replay=replay)

@@ -31,11 +31,11 @@ class MatmulParams:
     #: full C = A x B passes.  1 (the default) runs the classic
     #: one-shot kernel via spawn_all.  Larger values model an iterative
     #: solver re-applying the same operator and switch the app to
-    #: epoch-granularity replay (Runtime.spawn_epochs): every pass
+    #: phase replay (Runtime.spawn_phases), one phase per pass: every pass
     #: beyond the second is state-idempotent — identical values
     #: rewritten into resident pages — so it collapses to a closed-form
     #: delta the way jacobi/scanphase phases do, with no barrier between
-    #: passes (each epoch boundary is merely quiescent).
+    #: passes (each phase boundary is merely quiescent).
     iterations: int = 1
 
     def operands(self) -> tuple[np.ndarray, np.ndarray]:
@@ -107,17 +107,17 @@ def build(rt: Runtime, params: MatmulParams):
         rt.spawn_all(worker)
         return arr_c
 
-    # Iterative variant: each multiply pass is one epoch, with no
+    # Iterative variant: each multiply pass is one phase, with no
     # barrier between passes — workers write only their own C rows and
-    # read only A/B, so quiescence at the epoch boundary is the only
+    # read only A/B, so quiescence at the phase boundary is the only
     # ordering the program needs.  Pass 1 faults everything in, pass 2
     # proves the fixed point (identical values into resident pages,
     # identical per-thread durations when the rows divide evenly) and
     # records, every later pass replays.  The barrier-only epilogue gets
     # a distinct key: its generator differs, so its digest must never
     # collide with a pass record.
-    def factory(env, epoch):
-        if epoch < params.iterations:
+    def factory(env, phase):
+        if phase < params.iterations:
             return one_pass(env)
 
         def fin(env):
@@ -125,7 +125,7 @@ def build(rt: Runtime, params: MatmulParams):
 
         return fin(env)
 
-    rt.spawn_epochs(
+    rt.spawn_phases(
         factory,
         params.iterations + 1,
         keys=["pass"] * params.iterations + ["fin"],

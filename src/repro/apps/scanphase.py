@@ -4,11 +4,15 @@ A synthetic workload with the structure the phase-replay engine
 (:mod:`repro.runtime.replay`) is built for: every phase, each processor
 scans its block of a shared array plus a window into its neighbour's
 block (cross-cluster read sharing), charges per-word analysis compute,
-and meets at the barrier.  After the first phase installs the mappings
-and read-replicates the pages, the machine state is a fixed point: the
-second phase executes once to prove itself state-idempotent and record
-its effect, and every later phase is applied in closed form — the
-``figure_replay`` perfsmoke workload measures exactly that collapse.
+and meets at the barrier.  At cluster sizes up to 4 on the paper's
+32-processor machine (and on the 8-processor, C=2 machine of the
+``figure_replay`` perfsmoke workload), the first phase installs the
+mappings and read-replicates the pages, after which the machine state is
+a fixed point: the second phase executes once to prove itself
+state-idempotent and record its effect, and every later phase is applied
+in closed form (29 of the default 32 phases).  At C=8, 16 and 32 the
+boundary state never repeats, so no phase records and every phase
+executes.
 
 This is the Figure-6 shape reduced to its essence: the paper's sweeps
 re-run dozens of near-identical barrier phases whose coherence work all
@@ -138,9 +142,8 @@ def run(
     ) if len(measured) == len(reference) else float("inf")
     rt.close()
     # Replay counters live in result.replay_cache, NOT aux: aux is
-    # serialized into run-cache entries, and a store-warm run replays
-    # more phases than the run that recorded them — counters in aux
-    # would break cold/warm byte-identity.
+    # serialized into run-cache entries, and counters there would break
+    # the byte-identity of replay-on and replay-off runs.
     return AppRun(
         name="scanphase",
         result=result,

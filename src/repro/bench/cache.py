@@ -80,15 +80,10 @@ from repro.runtime.thread import ThreadContext
 __all__ = [
     "CACHE_SCHEMA",
     "DEFAULT_CACHE_DIR",
-    "REPLAY_SCHEMA",
     "CacheStats",
     "CacheVerifyError",
-    "PROCESS_REPLAY_STATS",
-    "ReplayCacheStats",
-    "ReplayStore",
     "RunCache",
     "resolve_cache",
-    "resolve_replay_store",
     "source_fingerprint",
     "fingerprint_run",
     "app_run_to_dict",
@@ -101,11 +96,6 @@ __all__ = [
 
 #: bump when the entry layout or key preimage changes incompatibly
 CACHE_SCHEMA = 1
-
-#: bump when the replay-record payload layout or the replay context key
-#: preimage changes incompatibly (entries from older schemas then decode
-#: as misses and are overwritten by fresh recordings)
-REPLAY_SCHEMA = 1
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 
@@ -249,11 +239,10 @@ def run_result_to_dict(result: RunResult) -> dict:
     transaction percentiles are bit-for-bit identical to the original.
 
     ``replay_cache`` is deliberately absent: how a run's phases were
-    obtained (simulated, replayed in-process, replayed from the
-    persistent store) is provenance, not behaviour, and including it
-    would make a replay-warm run's cache entry differ from a cold one's
-    — breaking ``check_identical`` and the byte-identity guarantees the
-    warm-sweep CI checks rely on.
+    obtained (simulated or replayed) is provenance, not behaviour, and
+    including it would make a replay-on run's cache entry differ from a
+    replay-off one's — breaking ``check_identical`` and the
+    byte-identity guarantees the warm-sweep CI checks rely on.
     """
     return {
         "config": _config_to_dict(result.config),
@@ -621,242 +610,6 @@ def resolve_cache(cache: RunCache | bool | None) -> RunCache | None:
     if flag in ("1", "true", "yes", "on") or os.environ.get("REPRO_CACHE_DIR"):
         return RunCache()
     return None
-
-
-# ---------------------------------------------------------------------------
-# persistent phase-replay store
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ReplayCacheStats:
-    """Persistent phase-replay store traffic counters.
-
-    ``loads`` counts records successfully fetched from the store (file
-    read + decode, or served from the in-process payload memo a pool
-    worker accumulates across jobs); ``misses`` counts lookups that
-    found no usable entry — absent, corrupt, truncated, or written
-    under a different schema.  ``hits`` counts *phases actually
-    replayed* from store-loaded records, i.e. re-simulation avoided by
-    persistence (a load that never replays, e.g. because the digest
-    recurs zero more times, is not a hit).  ``stores`` counts records
-    written.
-    """
-
-    loads: int = 0
-    misses: int = 0
-    hits: int = 0
-    stores: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def snapshot(self) -> tuple:
-        return (
-            self.loads,
-            self.misses,
-            self.hits,
-            self.stores,
-            self.bytes_read,
-            self.bytes_written,
-        )
-
-
-#: process-wide aggregate over every :class:`ReplayStore` instance —
-#: what the CLI summary and the serve daemon's counters report.  A
-#: plain module-level aggregate is safe precisely because it is *only*
-#: reporting: behaviour never reads it.
-PROCESS_REPLAY_STATS = ReplayCacheStats()
-
-
-class ReplayStore:
-    """Content-addressed store of persisted phase-replay records.
-
-    One JSON file per (context, digest) under ``root/ctx[:2]/ctx/``,
-    where ``ctx`` is the SHA-256 of (replay schema, source fingerprint,
-    canonical run context) and ``digest`` is the recorder's
-    phase-boundary state digest.  The context key pins everything that
-    gives a digest meaning — full machine config, cost table, quantum,
-    engine class, statistic layout — and the source fingerprint retires
-    every record the moment any simulator source file changes, exactly
-    like the run cache.  Old-context files are never matched again and
-    simply age out (content-addressed stores need no eviction for
-    correctness).
-
-    Concurrency follows :class:`RunCache`: per-record atomic publish
-    via a unique tmp name + ``os.replace``, no locks.  Identical keys
-    carry identical bytes (no timestamps in entries), so last-wins
-    replacement between racing sweep workers is harmless.
-    """
-
-    def __init__(
-        self, root: str | Path | None = None, source: str | None = None
-    ) -> None:
-        if root is None:
-            base = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
-            root = os.environ.get("REPRO_REPLAY_CACHE_DIR") or str(
-                Path(base) / "replay"
-            )
-        self.root = Path(root)
-        self.source = source if source is not None else source_fingerprint()
-        self.stats = ReplayCacheStats()
-        self._mutex = threading.Lock()
-        #: decoded payloads already read this process, keyed by
-        #: (context, digest) — lets a persistent pool worker serve its
-        #: later jobs without re-reading files.  Content-addressed, so
-        #: never invalidated within a process.
-        self._mem: dict[tuple[str, str], dict] = {}
-
-    # -- keys ----------------------------------------------------------
-
-    def context_key(self, context: dict) -> str:
-        """SHA-256 key of one run context (see class docstring)."""
-        preimage = canonical_json(
-            {
-                "replay_schema": REPLAY_SCHEMA,
-                "source": self.source,
-                "context": context,
-            }
-        )
-        return hashlib.sha256(preimage.encode()).hexdigest()
-
-    def _entry_path(self, ctx: str, digest: str) -> Path:
-        return self.root / ctx[:2] / ctx / f"{digest}.json"
-
-    # -- storage -------------------------------------------------------
-
-    def load(self, ctx: str, digest: str) -> dict | None:
-        """The persisted record payload for ``(ctx, digest)``, or None.
-
-        Absent, unreadable, truncated, or mismatched entries count as
-        misses; the next :meth:`put` under the same key overwrites them
-        (self-healing).
-        """
-        memo_key = (ctx, digest)
-        payload = self._mem.get(memo_key)
-        if payload is None:
-            path = self._entry_path(ctx, digest)
-            try:
-                raw = path.read_bytes()
-                entry = json.loads(raw)
-            except (OSError, ValueError):
-                self._count("misses")
-                return None
-            if (
-                not isinstance(entry, dict)
-                or entry.get("replay_schema") != REPLAY_SCHEMA
-                or entry.get("context") != ctx
-                or entry.get("digest") != digest
-                or not isinstance(entry.get("record"), dict)
-            ):
-                self._count("misses")
-                return None
-            payload = entry["record"]
-            self._mem[memo_key] = payload
-            self._count("bytes_read", len(raw))
-        self._count("loads")
-        return payload
-
-    def put(self, ctx: str, digest: str, payload: dict) -> None:
-        """Persist one record (atomic publish, deterministic bytes)."""
-        entry = {
-            "replay_schema": REPLAY_SCHEMA,
-            "context": ctx,
-            "digest": digest,
-            "record": payload,
-        }
-        blob = (canonical_json(entry) + "\n").encode()
-        path = self._entry_path(ctx, digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(RunCache._tmp_suffix())
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-        self._mem[(ctx, digest)] = payload
-        self._count("stores")
-        self._count("bytes_written", len(blob))
-
-    def count_hit(self) -> None:
-        """One phase was replayed from a store-loaded record."""
-        self._count("hits")
-
-    def _count(self, field: str, amount: int = 1) -> None:
-        with self._mutex:
-            setattr(self.stats, field, getattr(self.stats, field) + amount)
-            setattr(
-                PROCESS_REPLAY_STATS,
-                field,
-                getattr(PROCESS_REPLAY_STATS, field) + amount,
-            )
-
-    # -- reporting -----------------------------------------------------
-
-    def summary(self) -> dict:
-        """JSON-ready counters (what ``metrics.export`` publishes)."""
-        return {"dir": str(self.root), **self.stats.as_dict()}
-
-
-#: env-keyed memo for :func:`resolve_replay_store`.  Keying by the
-#: *values* of every environment variable that shapes the store is what
-#: makes the persistent worker pool safe: a pool warmed under one
-#: replay configuration constructs a fresh store the moment a job's
-#: ``REPRO_*`` snapshot changes any of them, instead of serving the
-#: stale module-level instance.
-_REPLAY_STORE_MEMO: dict[tuple, "ReplayStore"] = {}
-
-
-def _replay_env_key() -> tuple:
-    env = os.environ
-    return (
-        env.get("REPRO_NO_REPLAY", "").strip().lower(),
-        env.get("REPRO_REPLAY_CACHE", "").strip().lower(),
-        env.get("REPRO_REPLAY_CACHE_DIR", ""),
-        env.get("REPRO_CACHE_DIR", ""),
-    )
-
-
-def resolve_replay_store(
-    store: "ReplayStore | bool | None" = None,
-) -> "ReplayStore | None":
-    """Normalize a ``replay_store=`` argument, mirroring
-    :func:`resolve_cache`.
-
-    ``None``: consult the environment — ``REPRO_NO_REPLAY`` (the global
-    replay kill switch, see ``replay_enabled_default``) dominates and
-    yields no store; otherwise ``REPRO_REPLAY_CACHE`` forces off
-    (``0``/``false``/``no``/``off``) or on (``1``/``true``/``yes``/
-    ``on``), and setting ``REPRO_REPLAY_CACHE_DIR`` alone also enables
-    persistence, the way ``REPRO_CACHE_DIR`` enables the run cache.
-    Off by default.  ``True``/``False``: force on/off regardless of the
-    environment.  A :class:`ReplayStore` instance passes through.
-
-    Env-driven stores are memoized per environment state so repeated
-    runs in one process (sweep points, pool-worker jobs) share one
-    store and its decoded-payload memo; see ``_REPLAY_STORE_MEMO`` for
-    why the key includes every ``REPRO_*`` replay variable.
-    """
-    if isinstance(store, ReplayStore):
-        return store
-    if store is True:
-        return ReplayStore()
-    if store is False:
-        return None
-    env = os.environ
-    if env.get("REPRO_NO_REPLAY", "").strip().lower() in ("1", "true", "yes"):
-        return None
-    flag = env.get("REPRO_REPLAY_CACHE", "").strip().lower()
-    if flag in ("0", "false", "no", "off"):
-        return None
-    if flag not in ("1", "true", "yes", "on") and not env.get(
-        "REPRO_REPLAY_CACHE_DIR"
-    ):
-        return None
-    key = _replay_env_key()
-    st = _REPLAY_STORE_MEMO.get(key)
-    if st is None:
-        st = _REPLAY_STORE_MEMO[key] = ReplayStore()
-    return st
 
 
 # ---------------------------------------------------------------------------

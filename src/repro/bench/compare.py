@@ -256,9 +256,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(comparison_to_csv(comparison))
     else:
         sys.stdout.write(render_comparison(comparison))
-    from repro.cli import print_replay_summary
-
-    print_replay_summary()
     return 0
 
 

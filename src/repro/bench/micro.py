@@ -122,6 +122,7 @@ def measure_micro_costs(
     _warm_home_lines(rt, vpn)
     _fault(rt, 2, vpn, False)  # proc 2 (cluster 1) replicates the page
     tlb_fill = _fault(rt, 3, vpn, False)  # proc 3 finds it locally
+    rt.close()
 
     # --- inter-SSMP read miss ------------------------------------------
     rt = Runtime(config, costs)
@@ -129,6 +130,7 @@ def measure_micro_costs(
     vpn = arr.base // config.page_size
     _warm_home_lines(rt, vpn)
     read_miss = _fault(rt, 2, vpn, False)
+    rt.close()
 
     # --- inter-SSMP write miss -----------------------------------------
     rt = Runtime(config, costs)
@@ -136,6 +138,7 @@ def measure_micro_costs(
     vpn = arr.base // config.page_size
     _warm_home_lines(rt, vpn)
     write_miss = _fault(rt, 2, vpn, True)
+    rt.close()
 
     # --- release, single writer ----------------------------------------
     rt = Runtime(config, costs)
@@ -145,6 +148,7 @@ def measure_micro_costs(
     _fault(rt, 2, vpn, True)
     _dirty_whole_page(rt, 1, vpn)
     release_1writer = _release(rt, 2)
+    rt.close()
 
     # --- release, two writers ------------------------------------------
     rt = Runtime(config, costs)
@@ -156,6 +160,7 @@ def measure_micro_costs(
     _dirty_whole_page(rt, 1, vpn)
     _dirty_whole_page(rt, 2, vpn)
     release_2writers = _release(rt, 2)
+    rt.close()
 
     return MicroCosts(
         tlb_fill=tlb_fill,

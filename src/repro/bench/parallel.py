@@ -38,16 +38,12 @@ fork-and-import per sweep.  Two things keep reuse invisible to callers:
 * workers forked long ago would hold a stale environment, so each job
   ships a snapshot of the caller's current ``REPRO_*`` variables and
   the worker applies it before running — toggles such as
-  ``REPRO_NO_REPLAY`` and the replay-cache
-  selectors ``REPRO_REPLAY_CACHE``/``REPRO_REPLAY_CACHE_DIR``/
-  ``REPRO_CACHE_DIR`` behave exactly as if the worker were forked at
-  call time.  The snapshot only works if *module state derived from
-  those variables is keyed by their values*: a worker warmed under one
-  replay configuration must not serve a job submitted under another
-  through a stale singleton.  ``repro.bench.cache.resolve_replay_store``
-  memoizes per env-value tuple for exactly this reason; any future
-  env-derived cache must follow the same rule (pinned by
-  ``tests/test_parallel.py``).
+  ``REPRO_NO_REPLAY`` and ``REPRO_CACHE_DIR`` behave exactly as if the
+  worker were forked at call time.  The snapshot only works if *module
+  state derived from those variables is keyed by their values*: a
+  worker warmed under one configuration must not serve a job submitted
+  under another through a stale singleton.  Any env-derived cache must
+  follow that rule (pinned by ``tests/test_parallel.py``).
 
 ``shutdown_pool`` tears the workers down (registered with ``atexit``;
 tests use it to force a fresh pool).
@@ -156,10 +152,9 @@ def _run_job(env: tuple[tuple[str, str], ...], fn, args):
     Workers are forked once and reused, so the environment they
     inherited may predate the caller's current toggles; each job carries
     the caller's snapshot and this applies it (adds, updates, *and*
-    removals) before dispatch.  Module-level caches keyed off ``REPRO_*``
-    values (e.g. the replay-store memo in ``repro.bench.cache``) must
-    re-derive from the environment at use time, not at import/fork time,
-    or this sync is defeated.
+    removals) before dispatch.  Module-level state derived from
+    ``REPRO_*`` values must re-derive from the environment at use time,
+    not at import/fork time, or this sync is defeated.
     """
     want = dict(env)
     for k in [k for k in os.environ if k.startswith(_ENV_PREFIX)]:

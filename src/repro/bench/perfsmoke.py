@@ -47,14 +47,6 @@ Workloads:
   processor streams ``write_block`` over its own buffer, exercising the
   vectorized all-hit scatter path (cross-checked against a loop of
   ``env.write`` calls).
-* ``sweep_replay_warm`` — the persistent replay store
-  (``repro.bench.cache.ReplayStore``): one priming run records the
-  phase deltas, then a replay-off run (the cold bound: every phase
-  executes) is timed against a store-warm run in a *fresh* runtime with
-  a *fresh* store instance — the cold-process model, nothing served
-  from in-process memory.  The warm run must replay every repeated
-  phase from the store (zero new records) and agree with the cold run
-  on simulated time and event count; ``speedup_warm`` is gated.
 
 Every run cross-checks the batched block operations against word loops,
 and ``--check`` requires the Jacobi, swdsm Jacobi and TSP runs to
@@ -98,7 +90,6 @@ GATES: dict[str, tuple[str, float]] = {
     "tsp_lock": ("messages_per_sec", 0.35),
     "swdsm_jacobi_fast": ("events_per_sec", 0.35),
     "figure_replay": ("speedup_replay", 0.25),
-    "sweep_replay_warm": ("speedup_warm", 0.25),
 }
 
 #: benchmarks whose simulated run ``--check`` compares with the baseline:
@@ -136,6 +127,7 @@ def _bench_hit_block(nwords: int, passes: int, word_loop: bool = False) -> dict:
     t0 = time.perf_counter()
     result = rt.run()
     seconds = time.perf_counter() - t0
+    rt.close()
     return {
         "seconds": round(seconds, 4),
         "words": words,
@@ -180,6 +172,7 @@ def _bench_write_block(
     t0 = time.perf_counter()
     result = rt.run()
     seconds = time.perf_counter() - t0
+    rt.close()
     return {
         "seconds": round(seconds, 4),
         "words": words,
@@ -212,6 +205,7 @@ def _bench_jacobi(
         result = rt.run()
         elapsed = time.perf_counter() - t0
         del final
+        rt.close()
         if seconds is None or elapsed < seconds:
             seconds = elapsed
     return {
@@ -299,6 +293,7 @@ def _bench_tsp_lock(ncities: int, reps: int = 1) -> dict:
         elapsed = time.perf_counter() - t0
         if float(best.snapshot()[0]) != tsp.golden(params):
             raise AssertionError("tsp_lock found a wrong tour")
+        rt.close()
         if seconds is None or elapsed < seconds:
             seconds = elapsed
     messages = sum(flow["count"] for flow in result.message_flows.values())
@@ -328,15 +323,15 @@ def _bench_figure_replay(phases: int, reps: int = 1) -> dict:
             t0 = time.perf_counter()
             result = rt.run()
             elapsed = time.perf_counter() - t0
+            rt.close()
             if seconds is None or elapsed < seconds:
                 seconds = elapsed
-        recorder = rt.phase_recorder
         return {
             "seconds": round(seconds, 4),
             "events": rt.sim.events_processed,
             "events_per_sec": round(rt.sim.events_processed / seconds),
             "total_time": result.total_time,
-            "phases_replayed": recorder.replayed if recorder else 0,
+            "phases_replayed": result.replay_cache.get("replayed", 0),
         }
 
     # Warm the interpreter/numpy paths so the ratio measures the
@@ -351,79 +346,6 @@ def _bench_figure_replay(phases: int, reps: int = 1) -> dict:
         "replay": on,
         "noreplay": off,
         "speedup_replay": round(off["seconds"] / on["seconds"], 2),
-    }
-
-
-def _bench_sweep_replay_warm(phases: int, reps: int = 1) -> dict:
-    """Cold (replay off) vs store-warm (fresh runtime + persisted
-    deltas) phased run; the warm pass must be all store hits."""
-    from repro.bench.cache import ReplayStore
-
-    config = MachineConfig(total_processors=8, cluster_size=2)
-    params = scanphase.ScanPhaseParams(phases=phases)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        # Prime: one recording run fills the store.
-        rt = scanphase.make_runtime(
-            config, replay=True, replay_store=ReplayStore(tmp)
-        )
-        scanphase.build(rt, params)
-        rt.run()
-        if rt.phase_recorder is None or rt.phase_recorder.cache_stores < 1:
-            raise AssertionError("priming run persisted no replay records")
-
-        # Cold bound: no replay engine at all — every phase executes,
-        # the cost a fresh process pays without the store.
-        cold_seconds = None
-        for _ in range(reps):
-            rt_cold = scanphase.make_runtime(config, replay=False)
-            scanphase.build(rt_cold, params)
-            t0 = time.perf_counter()
-            result_cold = rt_cold.run()
-            elapsed = time.perf_counter() - t0
-            if cold_seconds is None or elapsed < cold_seconds:
-                cold_seconds = elapsed
-
-        # Warm: fresh runtime, fresh store instance (empty payload
-        # memo) — the cold-process model: every record comes off disk.
-        warm_seconds = None
-        for _ in range(reps):
-            store = ReplayStore(tmp)
-            rt_warm = scanphase.make_runtime(
-                config, replay=True, replay_store=store
-            )
-            scanphase.build(rt_warm, params)
-            t0 = time.perf_counter()
-            result_warm = rt_warm.run()
-            elapsed = time.perf_counter() - t0
-            if warm_seconds is None or elapsed < warm_seconds:
-                warm_seconds = elapsed
-            recorder = rt_warm.phase_recorder
-            if store.stats.stores != 0 or recorder.cache_hits == 0:
-                raise AssertionError(
-                    f"warm replay run was not all store hits: "
-                    f"{recorder.cache_summary()}"
-                )
-            if recorder.cache_hits != recorder.replayed:
-                raise AssertionError(
-                    "warm run replayed phases not served by the store"
-                )
-        if (result_warm.total_time, rt_warm.sim.events_processed) != (
-            result_cold.total_time,
-            rt_cold.sim.events_processed,
-        ):
-            raise AssertionError(
-                "store-warm replay diverged from execution (scanphase)"
-            )
-
-    return {
-        "phases": phases,
-        "cold_seconds": round(cold_seconds, 4),
-        "warm_seconds": round(warm_seconds, 4),
-        "speedup_warm": round(cold_seconds / warm_seconds, 2),
-        "phases_replayed_warm": recorder.replayed,
-        "store_warm": dict(store.summary(), dir=None),
-        "total_time": result_warm.total_time,
     }
 
 
@@ -459,7 +381,6 @@ def run_perfsmoke(quick: bool = False) -> dict:
     sweep = _bench_sweep(32, 3)
     cached = _bench_cached_sweep(32, 3)
     replay = _bench_figure_replay(phases, reps=jreps)
-    replay_warm = _bench_sweep_replay_warm(phases, reps=jreps)
 
     return {
         "schema": SCHEMA,
@@ -480,12 +401,10 @@ def run_perfsmoke(quick: bool = False) -> dict:
             "sweep": sweep,
             "sweep_cached": cached,
             "figure_replay": replay,
-            "sweep_replay_warm": replay_warm,
         },
         "speedups": {
             "warm_cache": cached["speedup_warm"],
             "figure_replay": replay["speedup_replay"],
-            "sweep_replay_warm": replay_warm["speedup_warm"],
         },
     }
 
@@ -601,14 +520,6 @@ def main(argv: list[str] | None = None) -> int:
         f"   speedup {fr['speedup_replay']}x"
         f"   ({fr['replay']['phases_replayed']}/{fr['phases']} phases"
         " replayed, identical)"
-    )
-    rw = b["sweep_replay_warm"]
-    print(
-        f"  replay store cold {rw['cold_seconds']:.3f}s"
-        f"   warm {rw['warm_seconds']:.3f}s"
-        f"   speedup {rw['speedup_warm']}x"
-        f"   ({rw['phases_replayed_warm']}/{rw['phases']} phases from"
-        " store, identical)"
     )
     print(f"  report -> {args.out}")
 

@@ -48,7 +48,6 @@ __all__ = [
     "cache_from_args",
     "add_replay_args",
     "apply_replay_args",
-    "print_replay_summary",
 ]
 
 
@@ -121,12 +120,11 @@ def cache_from_args(args: argparse.Namespace) -> RunCache | None:
 def add_replay_args(parser: argparse.ArgumentParser) -> None:
     """The phase-replay flag group (see :mod:`repro.runtime.replay`).
 
-    Mirrors ``REPRO_NO_REPLAY`` / ``REPRO_REPLAY_CACHE`` /
-    ``REPRO_REPLAY_CACHE_DIR`` the way ``--cache`` mirrors
-    ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``.  Precedence: an explicit
-    flag always beats the inherited environment (``--replay`` clears an
-    inherited ``REPRO_NO_REPLAY``; ``--no-replay`` sets it); with no
-    flag the environment stands.
+    Mirrors ``REPRO_NO_REPLAY`` the way ``--cache`` mirrors
+    ``REPRO_CACHE``.  Precedence: an explicit flag always beats the
+    inherited environment (``--replay`` clears an inherited
+    ``REPRO_NO_REPLAY``; ``--no-replay`` sets it); with no flag the
+    environment stands.
     """
     group = parser.add_argument_group("phase replay")
     group.add_argument(
@@ -141,64 +139,25 @@ def add_replay_args(parser: argparse.ArgumentParser) -> None:
         help="execute every phase (sets REPRO_NO_REPLAY=1 for this "
         "invocation, including pool workers); bit-identical, just slower",
     )
-    group.add_argument(
-        "--replay-cache",
-        action="store_true",
-        help="persist recorded phase deltas in the cross-run replay cache "
-        "(also enabled by REPRO_REPLAY_CACHE=1 or REPRO_REPLAY_CACHE_DIR)",
-    )
-    group.add_argument(
-        "--replay-cache-dir",
-        default=None,
-        metavar="DIR",
-        help="replay cache directory (default: REPRO_REPLAY_CACHE_DIR, "
-        "else <run-cache dir>/replay); implies --replay-cache",
-    )
 
 
 def apply_replay_args(args: argparse.Namespace) -> None:
     """Apply the replay flag group by mutating ``os.environ``.
 
-    Environment mutation (rather than threading a store object through
-    every harness) is deliberate: in-process runtimes resolve the store
-    from the environment, and ``bench.parallel`` pool workers receive
-    the same state through the per-job ``REPRO_*`` snapshot — so one
+    Environment mutation (rather than threading a flag through every
+    harness) is deliberate: in-process runtimes read the setting from
+    the environment, and ``bench.parallel`` pool workers receive the
+    same state through the per-job ``REPRO_*`` snapshot — so one
     mechanism covers sweeps, figures, and the comparison harness at any
     job count.
     """
     if args.no_replay:
-        if args.replay or args.replay_cache or args.replay_cache_dir:
-            raise ValueError(
-                "--no-replay conflicts with the other replay flags"
-            )
+        if args.replay:
+            raise ValueError("--no-replay conflicts with --replay")
         os.environ["REPRO_NO_REPLAY"] = "1"
         return
     if args.replay:
         os.environ.pop("REPRO_NO_REPLAY", None)
-    if args.replay_cache_dir:
-        os.environ["REPRO_REPLAY_CACHE_DIR"] = args.replay_cache_dir
-    if args.replay_cache or args.replay_cache_dir:
-        os.environ["REPRO_REPLAY_CACHE"] = "1"
-
-
-def print_replay_summary() -> None:
-    """One summary line of process-wide replay-cache traffic, to stderr.
-
-    stderr so that two invocations sharing a warm replay cache keep
-    *byte-identical stdout* (the CI cross-process check compares it);
-    the counters necessarily differ between a priming run and a warm
-    one.
-    """
-    from repro.bench.cache import PROCESS_REPLAY_STATS as s
-
-    if not (s.loads or s.stores or s.hits or s.misses):
-        return
-    print(
-        f"replay cache: {s.hits} hits, {s.loads} loads, {s.misses} misses, "
-        f"{s.stores} stored, {s.bytes_read}B read / "
-        f"{s.bytes_written}B written",
-        file=sys.stderr,
-    )
 
 
 def parse_trace_pages(value: str) -> set[int] | None:
@@ -419,7 +378,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(parser, args, network, jobs, cache)
     finally:
-        print_replay_summary()
         if cache is not None:
             s = cache.stats
             print(

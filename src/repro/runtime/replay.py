@@ -39,21 +39,6 @@ digest cannot translate) and when the analysis checkers are attached
 (they observe the messages replay elides).  ``REPRO_NO_REPLAY=1`` turns
 it off everywhere; ``tests/test_replay.py`` pins replay-on against
 replay-off bit-for-bit for every registered engine.
-
-Records optionally **persist across processes**: when a replay store is
-attached (:func:`repro.bench.cache.resolve_replay_store`, enabled via
-``REPRO_REPLAY_CACHE=1`` / ``REPRO_REPLAY_CACHE_DIR`` or the
-``--replay-cache`` CLI flags), every recorded delta is also written as
-versioned JSON into a content-addressed directory keyed by (source
-fingerprint, canonical run context, phase digest), and every digest
-miss in the in-memory table falls through to a store lookup.  A cold
-process — a fresh CLI run, a pool worker, a ``repro.serve`` job — then
-replays phases recorded by earlier runs or by sibling sweep points
-whose state digests coincide.  Decoding is defensive: an entry that is
-missing, truncated, schema-mismatched, or shaped wrong for this run's
-statistic layout simply decodes to ``None``, the phase executes live,
-and the fresh recording overwrites the bad entry (self-healing, exactly
-like the run cache).
 """
 
 from __future__ import annotations
@@ -72,8 +57,6 @@ if TYPE_CHECKING:
 __all__ = [
     "PhaseRecorder",
     "array_digest",
-    "record_from_payload",
-    "record_to_payload",
     "replay_enabled_default",
 ]
 
@@ -231,165 +214,22 @@ class _PhaseRecord:
     net_offsets: list[Any]
     #: statistics delta (see :class:`_StatCells`)
     stats: tuple
-    #: whether this record was decoded from the persistent replay store
-    #: (replays of such records count as cache hits)
-    from_store: bool = False
-
-
-def _net_to_json(offs: Any) -> Any:
-    """JSON encoding of one ``_net_state`` value.
-
-    ``None`` (model exposes no reservations) and plain ints (single
-    shared reservation) pass through; per-link reservation tuples become
-    ``[[key, off], ...]`` with tuple keys listed.
-    """
-    if offs is None or isinstance(offs, int):
-        return offs
-    return [
-        [list(k) if isinstance(k, tuple) else k, off] for k, off in offs
-    ]
-
-
-def _net_from_json(offs: Any) -> Any:
-    if offs is None or isinstance(offs, int):
-        return offs
-    return tuple(
-        (tuple(k) if isinstance(k, list) else k, off) for k, off in offs
-    )
-
-
-def record_to_payload(rec: _PhaseRecord) -> dict:
-    """JSON-safe encoding of one :class:`_PhaseRecord`.
-
-    Every delta container is JSON-representable as-is except the
-    int-keyed per-page nested dict (keys become decimal strings), the
-    flow 3-tuples (become lists), and interconnect reservation keys
-    (tuples become lists).  ``record_from_payload`` inverts all three.
-    """
-    dints, dflats, dnested, dflows, dlats, dcounts = rec.stats
-    return {
-        "advance": rec.advance,
-        "events": rec.events,
-        "now_offset": rec.now_offset,
-        "free_offsets": list(rec.free_offsets),
-        "net_offsets": [_net_to_json(o) for o in rec.net_offsets],
-        "stats": {
-            "ints": list(dints),
-            "flats": [dict(d) for d in dflats],
-            "nested": {str(k): dict(v) for k, v in dnested.items()},
-            "flows": {k: list(v) for k, v in dflows.items()},
-            "lats": {k: list(v) for k, v in dlats.items()},
-            "counts": list(dcounts),
-        },
-    }
-
-
-def record_from_payload(
-    payload: dict, n_ints: int, n_counts: int, n_processors: int
-) -> _PhaseRecord | None:
-    """Decode a persisted record, or ``None`` when it cannot possibly
-    belong to this run's statistic layout.
-
-    The caller passes the live layout sizes (int-cell count, hardware
-    access-class slot count, processor count); a payload whose vectors
-    disagree was produced by different source or a different
-    configuration that slipped past the context key, and decoding it
-    would corrupt statistics silently — so any shape mismatch, missing
-    key, or non-numeric leaf rejects the record and the phase executes
-    live instead.
-    """
-    try:
-        stats = payload["stats"]
-        dints = [int(v) for v in stats["ints"]]
-        dflats = [
-            {str(k): int(v) for k, v in d.items()} for d in stats["flats"]
-        ]
-        dnested = {
-            int(k): {str(kk): int(vv) for kk, vv in v.items()}
-            for k, v in stats["nested"].items()
-        }
-        dflows = {}
-        for k, v in stats["flows"].items():
-            dc, db, dl = v
-            dflows[str(k)] = (int(dc), int(db), int(dl))
-        dlats = {
-            str(k): [int(s) for s in v] for k, v in stats["lats"].items()
-        }
-        dcounts = [int(v) for v in stats["counts"]]
-        rec = _PhaseRecord(
-            advance=int(payload["advance"]),
-            events=int(payload["events"]),
-            now_offset=int(payload["now_offset"]),
-            free_offsets=[int(v) for v in payload["free_offsets"]],
-            net_offsets=[
-                _net_from_json(o) for o in payload["net_offsets"]
-            ],
-            stats=(dints, dflats, dnested, dflows, dlats, dcounts),
-            from_store=True,
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-    if (
-        len(rec.stats[0]) != n_ints
-        or len(rec.stats[1]) != 4
-        or len(rec.stats[5]) != n_counts
-        or len(rec.free_offsets) != n_processors
-        or len(rec.net_offsets) != 2
-    ):
-        return None
-    return rec
 
 
 class PhaseRecorder:
-    """Record-once / replay-many driver state for one phased runtime.
+    """Record-once / replay-many driver state for one phased runtime."""
 
-    ``store`` (duck-typed — :class:`repro.bench.cache.ReplayStore` in
-    practice) persists records across processes.  The recorder asks the
-    store for a context key derived from everything that pins the
-    record layout and meaning: source fingerprint, full machine config
-    and cost table, scheduling quantum, engine class, and the
-    app-dependent statistic layout (lock count, int-cell count).  Two
-    runs share records only when their context keys agree, so a digest
-    can never be applied across engines, configs, or source revisions.
-    """
-
-    def __init__(self, rt: "Runtime", store: Any = None) -> None:
+    def __init__(self, rt: "Runtime") -> None:
         self.rt = rt
         self.cells = _StatCells(rt)
         self.records: dict[str, _PhaseRecord] = {}
         #: phases applied in closed form / recorded for reuse
         self.replayed = 0
         self.recorded = 0
-        self.store = store
-        #: persistent-store traffic attributable to this run
-        self.cache_loads = 0
-        self.cache_hits = 0
-        self.cache_stores = 0
-        self._ctx = (
-            store.context_key(self._context()) if store is not None else None
-        )
-
-    def _context(self) -> dict:
-        """Canonical description of everything that pins record layout."""
-        rt = self.rt
-        return {
-            "config": dataclasses.asdict(rt.config),
-            "costs": dataclasses.asdict(rt.costs),
-            "quantum": rt.quantum,
-            "engine": type(rt.protocol).__name__,
-            "n_locks": len(rt.locks),
-            "n_cells": len(self.cells.ints),
-        }
 
     def cache_summary(self) -> dict:
         """Replay activity of this run, for ``RunResult.replay_cache``."""
-        return {
-            "replayed": self.replayed,
-            "recorded": self.recorded,
-            "loads": self.cache_loads,
-            "hits": self.cache_hits,
-            "stores": self.cache_stores,
-        }
+        return {"replayed": self.replayed, "recorded": self.recorded}
 
     # -- digest --------------------------------------------------------
 
@@ -487,24 +327,8 @@ class PhaseRecorder:
     # -- record / replay -----------------------------------------------
 
     def lookup(self, digest: str) -> _PhaseRecord | None:
-        """Find a record for ``digest``: in-memory first, then the
-        persistent store.  Store hits are decoded defensively and cached
-        in the in-memory table so later phases of this run pay the file
-        read once."""
-        rec = self.records.get(digest)
-        if rec is None and self.store is not None:
-            payload = self.store.load(self._ctx, digest)
-            if payload is not None:
-                rec = record_from_payload(
-                    payload,
-                    n_ints=len(self.cells.ints),
-                    n_counts=len(self.cells.cache_counts),
-                    n_processors=len(self.rt.machine.processors),
-                )
-                if rec is not None:
-                    self.records[digest] = rec
-                    self.cache_loads += 1
-        return rec
+        """The record for ``digest``, or None when it has not been seen."""
+        return self.records.get(digest)
 
     def record(
         self, digest: str, pre_snapshot: tuple, pre_base: int, events: int
@@ -529,9 +353,6 @@ class PhaseRecorder:
         )
         self.records[digest] = rec
         self.recorded += 1
-        if self.store is not None:
-            self.store.put(self._ctx, digest, record_to_payload(rec))
-            self.cache_stores += 1
 
     def apply(self, rec: _PhaseRecord) -> None:
         """Apply a recorded phase as a pure time translation."""
@@ -558,7 +379,3 @@ class PhaseRecorder:
         rt.sim.replay_advance(new_base + rec.now_offset, rec.events)
         self.cells.apply(rec.stats)
         self.replayed += 1
-        if rec.from_store:
-            self.cache_hits += 1
-            if self.store is not None:
-                self.store.count_hit()

@@ -23,7 +23,7 @@ from repro.hw import CacheSystem
 from repro.machine import Machine
 from repro.params import CostModel, MachineConfig
 from repro.runtime.env import Env
-from repro.runtime.replay import replay_enabled_default
+from repro.runtime.replay import PhaseRecorder, replay_enabled_default
 from repro.runtime.shared import SharedArray
 from repro.runtime.thread import ThreadContext
 from repro.sim import Simulator
@@ -55,11 +55,10 @@ class RunResult:
     message_flows: dict = field(default_factory=dict)
     #: fault/release transaction latency percentiles (p50/p95/max)
     transactions: dict = field(default_factory=dict)
-    #: phase-replay activity: phases replayed/recorded this run, plus
-    #: persistent replay-store traffic (loads/hits/stores) when a store
-    #: was attached.  Reporting only — deliberately *excluded* from the
-    #: run-cache payload so a replay-warm run stays byte-identical to a
-    #: cold one (``metrics.export`` publishes it; the cache does not).
+    #: phase-replay activity: phases replayed/recorded this run.
+    #: Reporting only — deliberately *excluded* from the run-cache
+    #: payload so a replay-on run stays byte-identical to a replay-off
+    #: one (``metrics.export`` publishes it; the cache does not).
     replay_cache: dict = field(default_factory=dict)
 
     def breakdown(self) -> dict[str, float]:
@@ -100,7 +99,6 @@ class Runtime:
         quantum: int = 1500,
         analysis=None,
         replay: bool | None = None,
-        replay_store=None,
     ) -> None:
         self.config = config
         self.costs = costs if costs is not None else CostModel()
@@ -108,11 +106,6 @@ class Runtime:
         self.replay = (
             replay_enabled_default() if replay is None else bool(replay)
         )
-        # Persistent replay store: a ReplayStore instance, True/False to
-        # force on/off, or None to let REPRO_REPLAY_CACHE[_DIR] decide
-        # (resolved lazily by the phased driver — see
-        # repro.bench.cache.resolve_replay_store).
-        self.replay_store = replay_store
         self.sim = Simulator()
         self.machine = Machine(self.sim, config, self.costs)
         self.aspace = AddressSpace(config)
@@ -207,7 +200,9 @@ class Runtime:
         result is the same simulated execution an equivalent
         :meth:`spawn_all` program would produce — phase boundaries only
         add the scheduling points that already exist at the barrier each
-        phase is expected to end with.
+        phase is expected to end with.  A boundary need not be a literal
+        barrier: the driver requires only quiescence (every generator
+        exhausted, the event heap drained).
 
         The payoff is **phase replay**: because a fresh generator holds
         no state from earlier phases, the machine state at a phase
@@ -237,47 +232,6 @@ class Runtime:
         self._phase_keys = list(keys) if keys is not None else list(range(phases))
         for pid in range(self.config.total_processors):
             self.threads.append(ThreadContext(pid=pid, gen=None))  # type: ignore[arg-type]
-
-    def spawn_epochs(
-        self,
-        factory: Callable[[Env, int], object],
-        epochs: int,
-        keys: list | None = None,
-    ) -> None:
-        """Run a non-phased application as a sequence of epochs —
-        replay below barrier granularity.
-
-        The phased driver never required a literal barrier at a
-        boundary, only *quiescence*: every generator exhausted and the
-        event heap drained.  Any program point with that property — the
-        end of an outer loop iteration closed by its own lock releases,
-        a super-quantum of uniform per-thread work — is therefore a
-        legal replay boundary.  ``spawn_epochs`` exposes exactly that:
-        it is :meth:`spawn_phases` under a name that makes the
-        epoch-granularity contract explicit, and it shares all of its
-        machinery, digesting the full machine state (thread skews, TLB,
-        line directory, locks, handler/interconnect occupancy, engine
-        pages) at every epoch boundary.
-
-        An epoch whose execution proves state-idempotent — matmul
-        recomputing an identical product, TSP re-walking a settled
-        search — is recorded once and replayed in closed form on every
-        later occurrence of its digest, in this run or (with the replay
-        store) any other.  Epochs that change state simply execute;
-        correctness never depends on the app's idempotence claim.  The
-        same auto-disable rules apply (faults, transport, analysis
-        checkers, ``REPRO_NO_REPLAY``).
-
-        Args:
-            factory: ``(env, epoch_index) -> generator``, fresh per
-                (processor, epoch).
-            epochs: number of epochs to run.
-            keys: optional per-epoch replay keys; epochs replay only
-                when their key *and* machine-state digest coincide, so
-                give structurally different epochs (e.g. a drain/
-                epilogue) distinct keys.
-        """
-        self.spawn_phases(factory, epochs, keys=keys)
 
     def annotate_benign_race(
         self, addr: int, words: int = 1, reason: str = ""
@@ -368,17 +322,7 @@ class Runtime:
             self.sim.schedule_at(t.time, self._resume, t, None)
 
     def _run_phased(self, max_events: int | None) -> RunResult:
-        recorder = None
-        if self._replay_active():
-            # Lazy import: the store lives with the other persistent
-            # caches in repro.bench (which imports repro.runtime at
-            # module level — this direction must stay deferred).
-            from repro.bench.cache import resolve_replay_store
-            from repro.runtime.replay import PhaseRecorder
-
-            recorder = PhaseRecorder(
-                self, store=resolve_replay_store(self.replay_store)
-            )
+        recorder = PhaseRecorder(self) if self._replay_active() else None
         self.phase_recorder = recorder
         for index in range(self._phase_count):
             base = min(t.time for t in self.threads)

@@ -223,12 +223,6 @@ class JobQueue:
             for j in self._jobs.values():
                 for k, v in j.cache.stats.as_dict().items():
                     cache_totals[k] = cache_totals.get(k, 0) + v
-            # Process-wide phase-replay-store counters: jobs execute in
-            # this daemon process (and its pool workers), so the module
-            # aggregate in repro.bench.cache is the daemon's replay
-            # traffic.  Reporting only — never read back by behavior.
-            from repro.bench.cache import PROCESS_REPLAY_STATS
-
             return {
                 "queue": {
                     "depth": len(self._queued),
@@ -239,7 +233,6 @@ class JobQueue:
                     "failed": self.failed,
                 },
                 "cache": {"dir": str(self.cache_root), **cache_totals},
-                "replay_cache": PROCESS_REPLAY_STATS.as_dict(),
             }
 
     # -- persistence ---------------------------------------------------

@@ -26,8 +26,8 @@ ENGINES = engine_names()
 PAPER_APPS = {
     "jacobi": (jacobi, jacobi.JacobiParams(n=16, iterations=4)),
     "matmul": (matmul, matmul.MatmulParams(n=8)),
-    # Iterative (epoch-granularity) variant: passes replay without
-    # barriers between them (Runtime.spawn_epochs).
+    # Iterative variant: one phase per pass, with no barrier between
+    # passes (Runtime.spawn_phases).
     "matmul-iter": (matmul, matmul.MatmulParams(n=8, iterations=4)),
     "tsp": (tsp, tsp.TSPParams(ncities=6)),
     "water": (water, water.WaterParams(n_molecules=9, iterations=1)),
@@ -97,8 +97,9 @@ def test_replay_equivalence_and_fires_scanphase(engine):
 
 
 def test_matmul_epoch_replay_fires():
-    """A non-phased (no inter-pass barrier) app collapses under epoch
-    replay: pass 0 installs, pass 1 records, later passes replay."""
+    """An app with no inter-pass barrier collapses under phase replay
+    with quiescent boundaries: pass 0 installs, pass 1 records, later
+    passes replay."""
     config = MachineConfig(total_processors=4, cluster_size=2)
     run = matmul.run(
         config, matmul.MatmulParams(n=8, iterations=5), replay=True
@@ -111,7 +112,7 @@ def test_scanphase_validates_under_replay():
     config = MachineConfig(total_processors=4, cluster_size=2)
     run = scanphase.run(config, SCAN_PARAMS).require_valid()
     # Counters live in result.replay_cache (never in aux, which the run
-    # cache serializes and must stay identical cold vs. replay-warm).
+    # cache serializes and must stay identical replay-on vs. replay-off).
     assert run.result.replay_cache["replayed"] > 0
     assert run.result.replay_cache["recorded"] >= 1
 

@@ -17,6 +17,7 @@ import gc
 import pytest
 
 from repro.apps import jacobi, tsp
+from repro.bench.micro import measure_micro_costs
 from repro.core.engine import engine_names
 from repro.params import MachineConfig
 from repro.runtime import Runtime
@@ -51,6 +52,11 @@ def test_phased_app_run_leaves_no_cycles(engine):
 def test_locked_app_run_leaves_no_cycles(engine):
     params = tsp.TSPParams(ncities=6)
     assert cyclic_garbage(lambda: tsp.run(config(engine), params)) == 0
+
+
+def test_micro_benchmarks_leave_no_cycles():
+    """Table 3's micro-benchmarks close each of their runtimes."""
+    assert cyclic_garbage(measure_micro_costs) == 0
 
 
 def test_unclosed_runtime_is_cyclic():
